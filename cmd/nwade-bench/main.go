@@ -11,23 +11,19 @@
 //	nwade-bench -exp fig4 -rounds 5 -workers 8
 //	nwade-bench -exp table2 -rounds 3 -duration 50s
 //	nwade-bench -exp fig4 -faults burst15 -retrans
-//	nwade-bench -exp speedup -json bench.json  # parallel-vs-sequential
 //	nwade-bench -exp fig4 -quick -obs          # aggregate protocol counters
 //	nwade-bench -exp fig4 -quick -pprof cpu.pb # CPU profile of the sweep
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
-	"nwade/internal/benchfmt"
 	"nwade/internal/eval"
 	"nwade/internal/obs"
 	"nwade/internal/vnet"
@@ -54,7 +50,6 @@ func run(args []string, out io.Writer) error {
 		faults    = fs.String("faults", "", "network fault profile injected into every round ("+strings.Join(vnet.FaultProfileNames(), ", ")+")")
 		retrans   = fs.Bool("retrans", false, "enable the protocol retransmission layer (pair with -faults)")
 		list      = fs.Bool("list", false, "list registered experiments and exit")
-		jsonOut   = fs.String("json", "", "write per-experiment wall times to this JSON file")
 		traceOut  = fs.String("trace", "", "write a JSONL protocol-event trace to this file (forces -workers 1)")
 		obsRep    = fs.Bool("obs", false, "print aggregated observability counters after the run")
 		pprofOut  = fs.String("pprof", "", "write a CPU profile to this file")
@@ -146,45 +141,14 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	report := benchfmt.Report{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Workers:    *workers,
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	for _, g := range selected {
 		start := time.Now()
 		res, err := g.Run(cfg)
 		if err != nil {
 			return err
 		}
-		wall := time.Since(start)
 		fmt.Fprintln(out, res)
-		fmt.Fprintf(out, "[%s: %.0f ms wall]\n\n", g.Name, ms(wall))
-		if sr, ok := res.(*eval.SpeedupResult); ok {
-			report.Experiments = append(report.Experiments,
-				benchfmt.Timing{Experiment: "speedup-sequential", WallMS: ms(sr.Sequential), Rounds: sr.Rounds, Workers: 1},
-				benchfmt.Timing{Experiment: "speedup-parallel", WallMS: ms(sr.Parallel), Rounds: sr.Rounds,
-					Workers: sr.Workers, RequestedWorkers: sr.RequestedWorkers, Speedup: sr.Ratio()},
-			)
-			if sr.Network != "" {
-				report.Experiments = append(report.Experiments, benchfmt.Timing{
-					Experiment: "speedup-network", WallMS: ms(sr.NetworkWall), Rounds: 1,
-					Workers: sr.Workers, Imbalance: sr.Imbalance(),
-				})
-			}
-			continue
-		}
-		if ar, ok := res.(*eval.TickAllocResult); ok {
-			report.Experiments = append(report.Experiments, benchfmt.Timing{
-				Experiment: g.Name, WallMS: ms(wall), Rounds: 1, Workers: 1,
-				AllocTicks: ar.Ticks, AllocsPerTick: ar.AllocsPerTick, BytesPerTick: ar.BytesPerTick,
-			})
-			continue
-		}
-		report.Experiments = append(report.Experiments, benchfmt.Timing{
-			Experiment: g.Name, WallMS: ms(wall), Rounds: cfg.Rounds, Workers: *workers,
-		})
+		fmt.Fprintf(out, "[%s: %.0f ms wall]\n\n", g.Name, float64(time.Since(start).Microseconds())/1000)
 	}
 
 	if *drain {
@@ -202,16 +166,6 @@ func run(args []string, out io.Writer) error {
 		if *obsRep {
 			sink.WriteReport(out)
 		}
-	}
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", *jsonOut)
 	}
 	return nil
 }

@@ -53,9 +53,9 @@ func DefaultHotAllocConfig() HotAllocConfig {
 // NewHotAlloc builds the hotalloc analyzer. It flags `make` calls and
 // `append`s to non-hoisted slices inside the configured per-tick
 // functions: the engine's allocation-free tick contract (DESIGN.md §12,
-// pinned by TestSteadyStateAllocBudget and the tickalloc bench gate)
-// requires every per-tick buffer to live in Engine or worker scratch
-// state and be reused via truncation.
+// pinned by TestSteadyStateAllocBudget's allocs/tick and bytes/tick
+// budgets) requires every per-tick buffer to live in Engine or worker
+// scratch state and be reused via truncation.
 //
 // Hoisted means the destination ultimately aliases state that outlives
 // the call: a field (`e.tickList`, `w.neigh`), an element of such state,

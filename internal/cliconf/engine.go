@@ -324,7 +324,8 @@ type Checkpoint struct {
 }
 
 // Load reads a checkpoint of either kind, in one decoding pass, and
-// rebuilds its scenario.
+// rebuilds its scenario. A network checkpoint with a null region entry
+// is rejected here, before any front end dereferences it.
 func Load(path string) (*Checkpoint, error) {
 	spec, st, raw, err := snap.ReadAnyFile(path)
 	if err != nil {
@@ -335,6 +336,11 @@ func Load(path string) (*Checkpoint, error) {
 		ns, err := roadnet.DecodeState(raw)
 		if err != nil {
 			return nil, err
+		}
+		for i, rs := range ns.Regions {
+			if rs == nil {
+				return nil, fmt.Errorf("cliconf: %s: region %d has no state", path, i)
+			}
 		}
 		c.State = &State{Regions: ns.Regions, Net: ns}
 	}

@@ -136,8 +136,9 @@ func TestLoadNetworkCheckpoint(t *testing.T) {
 }
 
 // TestLoadRejectsDamagedFiles feeds Load a truncated file and a
-// wrong-magic file of both kinds: each must fail with an error, not
-// panic or resume a partial state.
+// wrong-magic file of both kinds, and a network file whose region 1 is
+// null: each must fail with an error, not panic or resume a partial
+// state.
 func TestLoadRejectsDamagedFiles(t *testing.T) {
 	for _, network := range []string{"", "grid:2x2"} {
 		_, path := writeRun(t, network)
@@ -145,10 +146,14 @@ func TestLoadRejectsDamagedFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, data := range map[string][]byte{
+		damaged := map[string][]byte{
 			"truncated":   good[:len(good)/2],
 			"wrong magic": bytes.Replace(good, []byte(snap.Magic), []byte("NWADE-SNAQ"), 1),
-		} {
+		}
+		if network != "" {
+			damaged["null region"] = nullRegion(t, path)
+		}
+		for name, data := range damaged {
 			bad := filepath.Join(t.TempDir(), "bad.snap")
 			if err := os.WriteFile(bad, data, 0o644); err != nil {
 				t.Fatal(err)
@@ -158,6 +163,26 @@ func TestLoadRejectsDamagedFiles(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nullRegion returns the bytes of the network checkpoint at path with
+// its region 1 state replaced by null.
+func nullRegion(t *testing.T, path string) []byte {
+	t.Helper()
+	c, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.State.Net.Regions[1] = nil
+	raw, err := c.State.Net.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snap.EncodeNet(&buf, c.Spec, raw); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestStateRoundTrip checks the bisector's state operations on both

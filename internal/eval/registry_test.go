@@ -12,7 +12,7 @@ func TestRegistryContents(t *testing.T) {
 		"table2", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"eq2", "eq3", "mixed",
 		"ablation-scheduler", "ablation-sensing", "ablation-doublecheck", "ablation-loss",
-		"faultsweep", "speedup", "tickalloc",
+		"faultsweep",
 		"netevac", "netprop",
 	}
 	all := All()
@@ -45,8 +45,8 @@ func TestRegistryContents(t *testing.T) {
 
 func TestRegistryGroups(t *testing.T) {
 	groups := Groups()
-	if len(groups) != 3 || groups[0] != "ablations" || groups[1] != "network" || groups[2] != "perf" {
-		t.Fatalf("Groups() = %v, want [ablations network perf]", groups)
+	if len(groups) != 2 || groups[0] != "ablations" || groups[1] != "network" {
+		t.Fatalf("Groups() = %v, want [ablations network]", groups)
 	}
 	count := func(group string) int {
 		var n int
@@ -59,9 +59,6 @@ func TestRegistryGroups(t *testing.T) {
 	}
 	if n := count("ablations"); n != 4 {
 		t.Errorf("ablations group has %d members, want 4", n)
-	}
-	if n := count("perf"); n != 2 {
-		t.Errorf("perf group has %d members, want 2 (speedup, tickalloc)", n)
 	}
 	if n := count("network"); n != 2 {
 		t.Errorf("network group has %d members, want 2 (netevac, netprop)", n)

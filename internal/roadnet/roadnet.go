@@ -318,8 +318,9 @@ func (n *Network) SuspectsSeen(i int) []SuspectSeen {
 }
 
 // RegionWall returns the accumulated per-region Step wall time — the
-// load-imbalance signal for the speedup experiment. Wall-clock readings
-// never influence simulation state.
+// load-imbalance signal behind the repository benchmark's
+// roadnet.region_imbalance (bench/README.md). Wall-clock readings never
+// influence simulation state.
 func (n *Network) RegionWall() []time.Duration {
 	out := make([]time.Duration, len(n.regs))
 	for i, r := range n.regs {
@@ -363,7 +364,7 @@ func (n *Network) Results() []metrics.RunResult {
 
 // wallNow reads the host clock for the per-region imbalance statistic.
 // It never feeds simulation state; the nodeterminism analyzer sanctions
-// exactly this function (like obs.wallNow).
+// exactly this function in roadnet (like eval.wallNow and obs.wallNow).
 func wallNow() time.Time { return time.Now() }
 
 // stepRegions advances all regions one tick. Regions share no mutable
