@@ -31,7 +31,7 @@ func DefaultHotAllocConfig() HotAllocConfig {
 		Functions: []string{
 			// Engine tick phases.
 			"step", "reindex", "spawn", "spawnBlocked",
-			"deliver", "deliverParallel", "claimGroup", "runPool",
+			"deliver", "verifyBlocks", "carries", "deliverParallel", "claimGroup", "runPool",
 			"plainHandle", "dispatch", "tickIM", "tickVehicles", "claimPart",
 			"sense", "senseScan",
 			"physics", "move", "legacyMove", "boxClearFor",

@@ -4,6 +4,7 @@ import (
 	"crypto/rsa"
 	"errors"
 	"fmt"
+	"slices"
 
 	"nwade/internal/plan"
 )
@@ -12,11 +13,26 @@ import (
 // Vehicles keep at most MaxLen blocks — the paper's τ/δ bound: crossing
 // time over the batch window — and prune older ones as they go.
 type Chain struct {
-	pub    *rsa.PublicKey
-	blocks []*Block
+	pub *rsa.PublicKey
+	// verdicts, when set, vouches for the signature and Merkle root of
+	// the blocks it passed (Verdicts.NewChain); nil means every block is
+	// checked in full.
+	verdicts *Verdicts
+	blocks   []*Block
+	// ids and newest index each vehicle's newest plan in the window:
+	// ids is sorted, and newest[i] locates the plan of vehicle ids[i].
+	// Every change to the window updates them.
+	ids    []plan.VehicleID
+	newest []planRef
 	// MaxLen bounds the number of cached blocks; 0 means unbounded
 	// (the intersection manager keeps everything).
 	MaxLen int
+}
+
+// planRef locates a plan in the window: Plans[plan] of blocks[block].
+// Two int32s keep the per-vehicle index entry small.
+type planRef struct {
+	block, plan int32
 }
 
 // NewChain creates an empty chain view that verifies incoming blocks with
@@ -34,6 +50,11 @@ var ErrCacheFull = errors.New("chain: cache full")
 // PublicKey returns the verification key this chain view checks blocks
 // against.
 func (c *Chain) PublicKey() *rsa.PublicKey { return c.pub }
+
+// Verified reports whether the chain's verdict table vouches for b's
+// signature and Merkle root (Verdicts.Passed). A chain without a table
+// vouches for nothing.
+func (c *Chain) Verified(b *Block) bool { return c.verdicts.Passed(b) }
 
 // Len returns the number of cached blocks.
 func (c *Chain) Len() int { return len(c.blocks) }
@@ -89,8 +110,7 @@ func (c *Chain) Append(b *Block) error {
 	// A vehicle that arrives mid-stream accepts its first block without
 	// a predecessor (head == nil, b.Seq > 0): it cannot check linkage
 	// until the next block arrives.
-	c.blocks = append(c.blocks, b)
-	c.prune()
+	c.push(b)
 	return nil
 }
 
@@ -107,8 +127,7 @@ func (c *Chain) AppendVerified(b *Block) error {
 			return err
 		}
 	}
-	c.blocks = append(c.blocks, b)
-	c.prune()
+	c.push(b)
 	return nil
 }
 
@@ -116,62 +135,118 @@ func (c *Chain) AppendVerified(b *Block) error {
 // inserts it at the front. Vehicles that join mid-stream use this to
 // back-fill the plans of vehicles that entered earlier: the forward link
 // (b.HashBlock() == oldest.PrevHash) proves the fetched block is the
-// authentic predecessor even when it came from an untrusted peer.
+// authentic predecessor even when it came from an untrusted peer. The
+// signature and root checks are skipped when the chain's verdict table
+// passed b.
 func (c *Chain) Prepend(b *Block) error {
-	if err := VerifySignature(c.pub, b); err != nil {
-		return err
+	if !c.Verified(b) {
+		if err := VerifySignature(c.pub, b); err != nil {
+			return err
+		}
+		if err := VerifyRoot(b); err != nil {
+			return err
+		}
 	}
-	if err := VerifyRoot(b); err != nil {
-		return err
+	if len(c.blocks) > 0 {
+		if err := VerifyLink(b, c.blocks[0]); err != nil {
+			return err
+		}
+		if c.MaxLen > 0 && len(c.blocks) >= c.MaxLen {
+			return fmt.Errorf("%w: %d blocks", ErrCacheFull, c.MaxLen)
+		}
 	}
-	if len(c.blocks) == 0 {
-		c.blocks = []*Block{b}
-		return nil
+	c.blocks = append(c.blocks, nil)
+	copy(c.blocks[1:], c.blocks)
+	c.blocks[0] = b
+	for k := range c.newest {
+		c.newest[k].block++
 	}
-	oldest := c.blocks[0]
-	if err := VerifyLink(b, oldest); err != nil {
-		return err
+	// Every indexed plan is newer than b's, so b only adds vehicles the
+	// window did not hold.
+	for j, p := range b.Plans {
+		if i, found := slices.BinarySearch(c.ids, p.Vehicle); !found {
+			c.insertRef(i, p.Vehicle, planRef{0, int32(j)})
+		}
 	}
-	if c.MaxLen > 0 && len(c.blocks) >= c.MaxLen {
-		return fmt.Errorf("%w: %d blocks", ErrCacheFull, c.MaxLen)
-	}
-	c.blocks = append([]*Block{b}, c.blocks...)
 	return nil
 }
 
-// prune drops the oldest blocks beyond MaxLen.
+// push appends a block as the newest in the window, indexes its plans
+// and prunes the window to MaxLen.
+func (c *Chain) push(b *Block) {
+	c.blocks = append(c.blocks, b)
+	c.indexNewest(len(c.blocks) - 1)
+	c.prune()
+}
+
+// indexNewest indexes the plans of blocks[pos], which is newer than every
+// block indexed so far: its plans supersede theirs, and within the block
+// a vehicle's first plan wins.
+func (c *Chain) indexNewest(pos int) {
+	for j, p := range c.blocks[pos].Plans {
+		ref := planRef{int32(pos), int32(j)}
+		i, found := slices.BinarySearch(c.ids, p.Vehicle)
+		switch {
+		case !found:
+			c.insertRef(i, p.Vehicle, ref)
+		case int(c.newest[i].block) != pos:
+			c.newest[i] = ref
+		}
+	}
+}
+
+// insertRef inserts an index entry at position i of the sorted ids.
+func (c *Chain) insertRef(i int, id plan.VehicleID, ref planRef) {
+	c.ids = slices.Insert(c.ids, i, id)
+	c.newest = slices.Insert(c.newest, i, ref)
+}
+
+// prune drops the oldest blocks beyond MaxLen, and the index entries of
+// the vehicles whose newest plan they held.
 func (c *Chain) prune() {
 	if c.MaxLen <= 0 || len(c.blocks) <= c.MaxLen {
 		return
 	}
 	drop := len(c.blocks) - c.MaxLen
-	c.blocks = append([]*Block(nil), c.blocks[drop:]...)
+	n := copy(c.blocks, c.blocks[drop:])
+	clear(c.blocks[n:])
+	c.blocks = c.blocks[:n]
+	kept := 0
+	for i, ref := range c.newest {
+		if int(ref.block) < drop {
+			continue
+		}
+		ref.block -= int32(drop)
+		c.ids[kept], c.newest[kept] = c.ids[i], ref
+		kept++
+	}
+	c.ids, c.newest = c.ids[:kept], c.newest[:kept]
 }
 
-// PlanFor searches the cached blocks (newest first, so reissued plans win)
-// for the given vehicle's plan.
+// PlanFor returns the given vehicle's newest plan in the cached window
+// (reissued plans win) and the block holding it.
 func (c *Chain) PlanFor(id plan.VehicleID) (*plan.TravelPlan, *Block, bool) {
-	for i := len(c.blocks) - 1; i >= 0; i-- {
-		if p, ok := c.blocks[i].PlanFor(id); ok {
-			return p, c.blocks[i], true
-		}
+	i, found := slices.BinarySearch(c.ids, id)
+	if !found {
+		return nil, nil, false
 	}
-	return nil, nil, false
+	ref := c.newest[i]
+	b := c.blocks[ref.block]
+	return b.Plans[ref.plan], b, true
 }
 
 // AllPlans returns every plan in the cached window, newest block first.
 // When a vehicle appears in several blocks only its newest plan is
-// returned, matching "the latest plan supersedes".
+// returned, matching "the latest plan supersedes". The caller owns the
+// returned slice.
 func (c *Chain) AllPlans() []*plan.TravelPlan {
-	seen := make(map[plan.VehicleID]bool)
-	var out []*plan.TravelPlan
-	for i := len(c.blocks) - 1; i >= 0; i-- {
-		for _, p := range c.blocks[i].Plans {
-			if seen[p.Vehicle] {
-				continue
+	out := make([]*plan.TravelPlan, 0, len(c.ids))
+	for pos := len(c.blocks) - 1; pos >= 0; pos-- {
+		for j, p := range c.blocks[pos].Plans {
+			i, _ := slices.BinarySearch(c.ids, p.Vehicle)
+			if c.newest[i] == (planRef{int32(pos), int32(j)}) {
+				out = append(out, p)
 			}
-			seen[p.Vehicle] = true
-			out = append(out, p)
 		}
 	}
 	return out

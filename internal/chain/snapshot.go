@@ -6,7 +6,6 @@
 package chain
 
 import (
-	"crypto/rsa"
 	"crypto/x509"
 	"fmt"
 )
@@ -50,15 +49,18 @@ func (c *Chain) Snapshot() ChainState {
 	return st
 }
 
-// RestoreChain rebuilds a chain view from a snapshot without re-verifying
-// the blocks: they were verified before the snapshot was taken, and the
-// restore path must not consume verification side effects twice.
-func RestoreChain(pub *rsa.PublicKey, st ChainState) *Chain {
-	c := &Chain{pub: pub, MaxLen: st.MaxLen}
+// RestoreChain rebuilds a chain view that reads the table from a
+// snapshot without re-verifying the blocks: they were verified before
+// the snapshot was taken, and the restore path must not consume
+// verification side effects twice. The restored blocks are fresh copies,
+// which the table has not passed.
+func (v *Verdicts) RestoreChain(st ChainState) *Chain {
+	c := v.NewChain(st.MaxLen)
 	c.blocks = make([]*Block, len(st.Blocks))
 	for i := range st.Blocks {
 		b := st.Blocks[i]
 		c.blocks[i] = &b
+		c.indexNewest(i)
 	}
 	return c
 }

@@ -7,7 +7,6 @@ import (
 	"nwade/internal/attack"
 	"nwade/internal/intersection"
 	"nwade/internal/nwade"
-	"nwade/internal/sched"
 	"nwade/internal/sim"
 	"nwade/internal/units"
 )
@@ -70,19 +69,18 @@ func SchedulerAblation(cfg Config) (*SchedulerAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	scheds := []sched.Scheduler{
-		&sched.Reservation{},
-		&sched.TrafficLight{Inter: inter},
-		&sched.Platoon{},
-	}
+	// Rounds name their scheduler rather than share an instance:
+	// sim.New builds one per round, so parallel rounds never write the
+	// same scheduler.
+	scheds := []string{"reservation", "traffic-light", "platoon"}
 	sc, _ := attack.ByName("V1", cfg.AttackAt)
 	var specs []simSpec
 	for _, s := range scheds {
 		for i := 0; i < cfg.Rounds; i++ {
 			specs = append(specs, simSpec{
-				label: fmt.Sprintf("ablation sched %s round %d", s.Name(), i),
+				label: fmt.Sprintf("ablation sched %s round %d", s, i),
 				cfg: sim.Scenario{
-					Inter: inter, Scheduler: s, Duration: cfg.Duration,
+					Inter: inter, Sched: s, Duration: cfg.Duration,
 					RatePerMin: cfg.Density, Seed: cfg.BaseSeed + int64(i)*211,
 					Attack: sc, NWADE: true,
 				},
@@ -96,7 +94,7 @@ func SchedulerAblation(cfg Config) (*SchedulerAblationResult, error) {
 	out := &SchedulerAblationResult{Cfg: cfg}
 	k := 0
 	for _, s := range scheds {
-		row := SchedulerAblationRow{Scheduler: s.Name()}
+		row := SchedulerAblationRow{Scheduler: s}
 		for i := 0; i < cfg.Rounds; i++ {
 			o := outs[k]
 			k++

@@ -136,7 +136,6 @@ type QueueStats struct {
 type DirQueue struct {
 	dir  string
 	opts QueueOptions
-	seq  atomic.Int64
 
 	// floorMu guards genFloor: per cell, the highest lease generation
 	// this process has observed. Generations only grow, so probes start
@@ -181,9 +180,14 @@ func (q *DirQueue) leaseName(key string, gen int) string {
 	return filepath.Join(q.dir, fmt.Sprintf("%s.lease.g%d", key, gen))
 }
 
+// suffixSeq numbers the file suffixes of every DirQueue in the process:
+// queues that share a directory (one per worker of an in-process fleet)
+// must never pick the same temp name, and a per-queue counter would.
+var suffixSeq atomic.Int64
+
 // uniqueSuffix builds process-unique file suffixes without randomness.
 func (q *DirQueue) uniqueSuffix() string {
-	return fmt.Sprintf("%d-%d", os.Getpid(), q.seq.Add(1))
+	return fmt.Sprintf("%d-%d", os.Getpid(), suffixSeq.Add(1))
 }
 
 // Load reads one completed cell; a missing file is a miss, not an error.

@@ -282,6 +282,38 @@ func TestConcurrentDrain(t *testing.T) {
 	}
 }
 
+// TestSuffixesUniqueAcrossQueues: two queues of one process on one
+// directory, drawing temp-file suffixes at once, never draw the same
+// one. With a counter per queue both drew <pid>-1, <pid>-2, …, so
+// TestConcurrentDrain's two workers could link each other's lease temp
+// files away.
+func TestSuffixesUniqueAcrossQueues(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	seen := make(map[string]string)
+	var wg sync.WaitGroup
+	for _, owner := range []string{"a", "b"} {
+		q, err := NewDirQueue(dir, QueueOptions{Owner: owner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(owner string, q *DirQueue) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				s := q.uniqueSuffix()
+				mu.Lock()
+				if prev, dup := seen[s]; dup {
+					t.Errorf("queues %s and %s both drew suffix %s", prev, owner, s)
+				}
+				seen[s] = owner
+				mu.Unlock()
+			}
+		}(owner, q)
+	}
+	wg.Wait()
+}
+
 // TestLeaseChainCleanup: terminal lease operations must leave no lease
 // files behind, whatever generation the chain reached — Complete and
 // Release both clear the whole chain, and a released cell reads as

@@ -179,7 +179,7 @@ func (vc *VehicleCore) resyncChain(now time.Duration) []Out {
 	delete(vc.held, minSeq)
 	vc.sink.emit(Event{At: now, Type: EvChainResync, Actor: vc.id,
 		Info: fmt.Sprintf("restart at seq %d", minSeq)})
-	vc.cache = chain.NewChain(vc.cache.PublicKey(), vc.cfg.ChainMax)
+	vc.cache = vc.verdicts.NewChain(vc.cfg.ChainMax)
 	outs := vc.processBlock(now, hb.b, hb.evacuation)
 	if !vc.selfEvac && vc.auto.State() != VExited {
 		outs = append(outs, vc.drainHeld(now)...)

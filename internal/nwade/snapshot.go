@@ -457,7 +457,7 @@ func (vc *VehicleCore) Snapshot() VehicleCoreState {
 }
 
 // RestoreState rewinds the core to a snapshot. The core must have been
-// built with the same identity, route, configuration and signer; when
+// built with the same identity, route, configuration and public key; when
 // the snapshot carries malice flags, SetMalice must have been called
 // first (the engine re-derives malice from the attack scenario).
 func (vc *VehicleCore) RestoreState(st VehicleCoreState) error {
@@ -466,7 +466,7 @@ func (vc *VehicleCore) RestoreState(st VehicleCoreState) error {
 			vc.id, vc.route.ID, st.RouteID)
 	}
 	vc.auto.state = VehicleState(st.Auto)
-	vc.cache = chain.RestoreChain(vc.cache.PublicKey(), st.Cache)
+	vc.cache = vc.verdicts.RestoreChain(st.Cache)
 	vc.arriveAt = st.ArriveAt
 	vc.speed0 = st.Speed0
 	vc.requested = st.Requested

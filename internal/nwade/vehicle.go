@@ -139,6 +139,10 @@ type VehicleCore struct {
 	mal   *VehicleMalice
 	obs   *obspkg.Sink
 
+	// verdicts is the intersection's block verdict table; cache, and any
+	// cache that replaces it, reads it.
+	verdicts *chain.Verdicts
+
 	arriveAt time.Duration
 	speed0   float64
 
@@ -182,9 +186,12 @@ type VehicleCore struct {
 	seenEvacs     map[uint64]bool // duplicate suppression for evacuation alerts
 }
 
-// NewVehicleCore creates the vehicle protocol core.
+// NewVehicleCore creates the vehicle protocol core. Its chain view
+// verifies blocks with the verdict table's key and trusts the table's
+// verdicts; the engine shares one table among an intersection's
+// vehicles.
 func NewVehicleCore(id plan.VehicleID, char plan.Characteristics, route *intersection.Route,
-	inter *intersection.Intersection, pub *chain.Signer, cfg VehicleConfig, sink EventSink, mal *VehicleMalice,
+	inter *intersection.Intersection, verdicts *chain.Verdicts, cfg VehicleConfig, sink EventSink, mal *VehicleMalice,
 	arriveAt time.Duration, speed float64) *VehicleCore {
 	if cfg.SensingRadius <= 0 {
 		res := cfg.Resilience
@@ -198,7 +205,8 @@ func NewVehicleCore(id plan.VehicleID, char plan.Characteristics, route *interse
 		route:         route,
 		inter:         inter,
 		chk:           &plan.ConflictChecker{Inter: inter},
-		cache:         chain.NewChain(pub.Public(), cfg.ChainMax),
+		verdicts:      verdicts,
+		cache:         verdicts.NewChain(cfg.ChainMax),
 		auto:          NewVehicleAutomaton(),
 		cfg:           cfg,
 		sink:          sink,
@@ -505,12 +513,7 @@ func (vc *VehicleCore) handleBlockResp(now time.Duration, b *chain.Block) []Out 
 // consistency without touching the cache (used for blocks named in
 // global reports).
 func (vc *VehicleCore) recheckBlock(b *chain.Block) error {
-	vc.obs.Inc(obspkg.CntSigChecks)
-	if err := chain.VerifySignature(vc.cache.PublicKey(), b); err != nil {
-		return err
-	}
-	vc.obs.Inc(obspkg.CntMerkleChecks)
-	if err := chain.VerifyRoot(b); err != nil {
+	if err := checkContent(vc.cache, b, vc.obs); err != nil {
 		return err
 	}
 	vc.obs.Inc(obspkg.CntConflictChecks)

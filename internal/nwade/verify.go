@@ -126,12 +126,7 @@ func verifyBlockObs(c *chain.Chain, checker *plan.ConflictChecker, b *chain.Bloc
 	// Steps i and iii are enforced by the chain cache (signature, root,
 	// link); do the cheap cryptographic checks before the plan math.
 	head := c.Head()
-	o.Inc(obspkg.CntSigChecks)
-	if err := chain.VerifySignature(c.PublicKey(), b); err != nil {
-		return err
-	}
-	o.Inc(obspkg.CntMerkleChecks)
-	if err := chain.VerifyRoot(b); err != nil {
+	if err := checkContent(c, b, o); err != nil {
 		return err
 	}
 	if head != nil {
@@ -168,4 +163,19 @@ func verifyBlockObs(c *chain.Chain, checker *plan.ConflictChecker, b *chain.Bloc
 	// Signature, root, and head linkage were verified above (steps i and
 	// iii), so the append must not repeat the RSA work.
 	return c.AppendVerified(b)
+}
+
+// checkContent is Algorithm 1 step i plus the Merkle-root check, each
+// counted when it runs. A block the chain's verdict table passed skips
+// both: every receiver would reach the table's verdict.
+func checkContent(c *chain.Chain, b *chain.Block, o *obspkg.Sink) error {
+	if c.Verified(b) {
+		return nil
+	}
+	o.Inc(obspkg.CntSigChecks)
+	if err := chain.VerifySignature(c.PublicKey(), b); err != nil {
+		return err
+	}
+	o.Inc(obspkg.CntMerkleChecks)
+	return chain.VerifyRoot(b)
 }

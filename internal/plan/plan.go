@@ -146,18 +146,28 @@ func (p *TravelPlan) TimeAt(s float64) (time.Duration, bool) {
 	if s <= ws[0].S {
 		return ws[0].T, true
 	}
-	for i := 1; i < len(ws); i++ {
-		if ws[i].S >= s {
-			a, b := ws[i-1], ws[i]
-			//lint:ignore floateq degenerate-interval guard: exact equality is what makes the division below safe
-			if b.S == a.S {
-				return a.T, true
-			}
-			f := (s - a.S) / (b.S - a.S)
-			return a.T + time.Duration(f*float64(b.T-a.T)), true
+	// Binary search for the first waypoint i >= 1 with S >= s. Every plan
+	// producer emits waypoints non-decreasing in S, so this is the
+	// waypoint a front-to-back scan would stop at.
+	lo, hi := 1, len(ws)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ws[mid].S >= s {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return ws[len(ws)-1].T, true
+	if lo == len(ws) {
+		return ws[len(ws)-1].T, true
+	}
+	a, b := ws[lo-1], ws[lo]
+	//lint:ignore floateq degenerate-interval guard: exact equality is what makes the division below safe
+	if b.S == a.S {
+		return a.T, true
+	}
+	f := (s - a.S) / (b.S - a.S)
+	return a.T + time.Duration(f*float64(b.T-a.T)), true
 }
 
 // FinalS returns the arc length of the last waypoint.

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -106,6 +107,64 @@ func TestTimeAt(t *testing.T) {
 	tt, ok = p.TimeAt(-5)
 	if !ok || tt != 0 {
 		t.Errorf("TimeAt(-5) = %v, %v, want plan start", tt, ok)
+	}
+}
+
+// timeAtScan is the front-to-back scan TimeAt used before it searched
+// binary, kept as the reference TimeAt must match bit for bit.
+func timeAtScan(p *TravelPlan, s float64) (time.Duration, bool) {
+	ws := p.Waypoints
+	if len(ws) == 0 || s > ws[len(ws)-1].S+1e-9 {
+		return 0, false
+	}
+	if s <= ws[0].S {
+		return ws[0].T, true
+	}
+	for i := 1; i < len(ws); i++ {
+		if ws[i].S >= s {
+			a, b := ws[i-1], ws[i]
+			if b.S == a.S {
+				return a.T, true
+			}
+			f := (s - a.S) / (b.S - a.S)
+			return a.T + time.Duration(f*float64(b.T-a.T)), true
+		}
+	}
+	return ws[len(ws)-1].T, true
+}
+
+// TestTimeAtMatchesScan checks the binary search against the linear scan
+// on random plans monotone in S, with flat runs (a vehicle stopped at
+// the line), queries below the first S, on waypoints, inside flat runs,
+// and within the 1e-9 slack past the last S.
+func TestTimeAtMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(40)
+		ws := make([]Waypoint, n)
+		tm, s := time.Duration(rng.Intn(1000))*time.Millisecond, rng.Float64()*50
+		for i := range ws {
+			if i > 0 {
+				tm += time.Duration(1+rng.Intn(500)) * time.Millisecond
+				if rng.Intn(3) > 0 { // else a flat run: S repeats
+					s += rng.Float64() * 20
+				}
+			}
+			ws[i] = Waypoint{T: tm, S: s, V: rng.Float64() * 15}
+		}
+		p := &TravelPlan{Waypoints: ws}
+		queries := []float64{ws[0].S - 1, ws[0].S, ws[n-1].S, ws[n-1].S + 5e-10, ws[n-1].S + 2e-9}
+		for i := range ws {
+			queries = append(queries, ws[i].S, ws[i].S+1e-12, ws[i].S+rng.Float64()*25)
+		}
+		for _, q := range queries {
+			gotT, gotOK := p.TimeAt(q)
+			wantT, wantOK := timeAtScan(p, q)
+			if gotT != wantT || gotOK != wantOK {
+				t.Fatalf("trial %d: TimeAt(%v) = %v, %v; scan gives %v, %v (waypoints %v)",
+					trial, q, gotT, gotOK, wantT, wantOK, ws)
+			}
+		}
 	}
 }
 

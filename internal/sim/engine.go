@@ -6,6 +6,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -347,7 +348,7 @@ func (b *body) status(now time.Duration) plan.Status {
 // Engine is one simulation run.
 //
 //lint:checkpoint-state encode=Engine.Snapshot,Engine.AttackOnsets,Engine.Violations decode=Restore
-//lint:checkpoint-state derived=cfg,rng,bodies,grid,moveSlack,lanes,byNode,spawnScratch,obs,emit,workers,wctxs
+//lint:checkpoint-state derived=cfg,rng,bodies,grid,moveSlack,lanes,byNode,spawnScratch,obs,emit,workers,wctxs,verdicts
 //lint:checkpoint-state derived=imBuffered,imEvBuf,pollBuf,visBuf,blocked,tickList,parts,partIdx,nParts,groups,groupIdx,nGroups,delivRes
 type Engine struct {
 	cfg Scenario
@@ -365,6 +366,11 @@ type Engine struct {
 	// engine's hot loops iterate it directly instead of chasing the map.
 	all []*body
 	now time.Duration
+
+	// verdicts is the intersection's block verdict table, shared by
+	// every vehicle's chain view. Only deliver's serial pre-pass writes
+	// it; handlers, on the worker pool too, only read it.
+	verdicts *chain.Verdicts
 
 	// grid indexes present bodies for radius queries (sensing, legacy
 	// gap acceptance, IM visibility). Rebuilt twice per tick.
@@ -543,6 +549,7 @@ func New(cfg Scenario, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		cfg:          cfg,
 		signer:       signer,
+		verdicts:     chain.NewVerdicts(signer.Public()),
 		col:          metrics.NewCollector(),
 		bodies:       make(map[plan.VehicleID]*body),
 		attackOnsets: make(map[plan.VehicleID]time.Duration),
@@ -829,7 +836,7 @@ func (e *Engine) spawn(now time.Duration) {
 		}
 		b := &body{id: a.Vehicle, route: a.Route, v: a.Speed, arrive: now,
 			orderIdx: len(e.all), node: vnet.VehicleNode(uint64(a.Vehicle))}
-		b.core = nwade.NewVehicleCore(a.Vehicle, a.Char, a.Route, e.cfg.Inter, e.signer,
+		b.core = nwade.NewVehicleCore(a.Vehicle, a.Char, a.Route, e.cfg.Inter, e.verdicts,
 			e.cfg.VehicleConfig, e.sinkFor(b), nil, now, a.Speed)
 		b.core.SetObs(e.obs)
 		if a.Handoff {
@@ -941,6 +948,9 @@ func (e *Engine) activateAttack(now time.Duration) {
 func (e *Engine) deliver(now time.Duration) int {
 	due := e.net.PollInto(now, e.pollBuf[:0])
 	e.pollBuf = due
+	if e.cfg.NWADE {
+		e.verifyBlocks(due)
+	}
 	if e.workers <= 1 || len(due) < minParallelDeliveries {
 		for _, d := range due {
 			if d.To == vnet.IMNode {
@@ -961,6 +971,37 @@ func (e *Engine) deliver(now time.Duration) int {
 	}
 	e.deliverParallel(now, due)
 	return len(due)
+}
+
+// verifyBlocks is deliver's serial pre-pass: before any handler runs, it
+// checks the signature and Merkle root of each distinct block the due
+// messages carry, once, and records the blocks that pass in the verdict
+// table. Receivers then run only the per-vehicle steps of Algorithm 1 on
+// them; a block that fails is not recorded, so each receiver checks it
+// in full and reaches its own rejection.
+func (e *Engine) verifyBlocks(due []vnet.Delivery) {
+	for i, d := range due {
+		b := nwade.BlockIn(d.Msg)
+		if b == nil || e.verdicts.Passed(b) || carries(due[:i], b) {
+			continue
+		}
+		e.obs.Inc(obs.CntSigChecks)
+		if err := e.verdicts.Verify(b); !errors.Is(err, chain.ErrBadSignature) {
+			e.obs.Inc(obs.CntMerkleChecks)
+		}
+	}
+}
+
+// carries reports whether one of the deliveries carries block b. The
+// pre-pass asks only about blocks not in the table, so the scan runs
+// once per passing block and once per delivery of a failing one.
+func carries(due []vnet.Delivery, b *chain.Block) bool {
+	for _, d := range due {
+		if nwade.BlockIn(d.Msg) == b {
+			return true
+		}
+	}
+	return false
 }
 
 // minParallelDeliveries / minParallelBodies gate the parallel paths: a

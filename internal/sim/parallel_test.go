@@ -33,12 +33,11 @@ func TestParallelDigestMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelRaceShort is the configuration the race-detector CI job
-// leans on: a short mid-attack window with workers=4, so `go test -race
-// -short` exercises the pool's claim counter, the shared read-only grid,
-// and the per-body event buffers under the detector without paying for
-// the full 40s reference run. The full-length digest equality above
-// still runs in the ordinary test job.
+// TestParallelRaceShort is a short mid-attack window with workers=4, so
+// a `go test -race` run exercises the pool's claim counter, the shared
+// read-only grid and verdict table, and the per-body event buffers under
+// the detector without paying for the full 40s reference run, which the
+// digest equality above covers.
 func TestParallelRaceShort(t *testing.T) {
 	cfg := zeroFaultRefConfig(t)
 	cfg.Duration = 24 * time.Second

@@ -186,6 +186,7 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		cfg:          cfg,
 		signer:       signer,
+		verdicts:     chain.NewVerdicts(signer.Public()),
 		col:          metrics.NewCollector(),
 		bodies:       make(map[plan.VehicleID]*body),
 		attackOnsets: make(map[plan.VehicleID]time.Duration),
@@ -249,7 +250,7 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 			legacy: bs.Legacy, waitingSince: bs.WaitingSince, stoppedAt: bs.StoppedAt,
 			orderIdx: i, node: vnet.VehicleNode(uint64(bs.ID)),
 		}
-		core := nwade.NewVehicleCore(bs.ID, cs.Char, route, cfg.Inter, signer,
+		core := nwade.NewVehicleCore(bs.ID, cs.Char, route, cfg.Inter, e.verdicts,
 			cfg.VehicleConfig, e.sinkFor(b), nil, cs.ArriveAt, cs.Speed0)
 		core.SetObs(e.obs)
 		if cs.Malice != nil {
