@@ -127,11 +127,10 @@ func TestHotAllocFixture(t *testing.T) {
 const fixturePath = "nwade/internal/analysis/testdata/src/"
 
 func TestPhasePurityFixture(t *testing.T) {
-	// The fixture declares its own sanctioned wall-clock shim and an
-	// approved commit helper, mirroring the production configuration.
+	// The fixture declares its own sanctioned wall-clock shim, mirroring
+	// the production configuration.
 	runFixture(t, "phasepurity", []*Analyzer{NewPhasePurity(PhasePurityConfig{
-		Sanctioned:   []string{fixturePath + "phasepurity.wallNow"},
-		ApprovedSync: []string{fixturePath + "phasepurity.engine.commitLocked"},
+		Sanctioned: []string{fixturePath + "phasepurity.wallNow"},
 	})})
 }
 

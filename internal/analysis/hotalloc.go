@@ -31,13 +31,13 @@ func DefaultHotAllocConfig() HotAllocConfig {
 		Functions: []string{
 			// Engine tick phases.
 			"step", "reindex", "spawn", "spawnBlocked",
-			"deliver", "verifyBlocks", "carries", "deliverParallel", "claimGroup", "runPool",
-			"plainHandle", "dispatch", "tickIM", "tickVehicles", "claimPart",
+			"deliver", "verifyBlocks", "carries",
+			"plainHandle", "dispatch", "tickIM", "tickVehicles",
 			"sense", "senseScan",
 			"physics", "move", "legacyMove", "boxClearFor",
 			"obstacleAhead", "leaderGap", "violate", "collisions",
 			// Spatial grid per-tick path.
-			"rebuild", "gatherInto", "forEach", "forEachOrdered", "forEachOrderedWith",
+			"rebuild", "gather", "forEach", "forEachOrdered",
 		},
 		PkgFunctions: map[string][]string{
 			// The road network's every-tick path. The exchange-cadence
@@ -54,12 +54,12 @@ func DefaultHotAllocConfig() HotAllocConfig {
 // `append`s to non-hoisted slices inside the configured per-tick
 // functions: the engine's allocation-free tick contract (DESIGN.md §12,
 // pinned by TestSteadyStateAllocBudget's allocs/tick and bytes/tick
-// budgets) requires every per-tick buffer to live in Engine or worker
-// scratch state and be reused via truncation.
+// budgets) requires every per-tick buffer to live in the engine's (or
+// its grid's) scratch state and be reused via truncation.
 //
 // Hoisted means the destination ultimately aliases state that outlives
-// the call: a field (`e.tickList`, `w.neigh`), an element of such state,
-// or a local derived from one (`out := w.neigh[:0]`). A `make` is exempt
+// the call: a field (`e.pollBuf`, `e.neigh`), an element of such state,
+// or a local derived from one (`out := e.neigh[:0]`). A `make` is exempt
 // only when its result is stored straight into a field or element —
 // the lazy-init-then-clear idiom. Everything else is a per-tick heap
 // allocation: either hoist it or annotate the line with
@@ -165,7 +165,7 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 		case isBuiltinCall(pass.Pkg, call, "make"):
 			if !exemptMake[call] {
 				pass.Reportf(call.Pos(),
-					"%s is on the per-tick path: make allocates every tick; hoist the buffer into engine or worker scratch state (or annotate //lint:ignore hotalloc <reason>)",
+					"%s is on the per-tick path: make allocates every tick; hoist the buffer into scratch state that outlives the call (or annotate //lint:ignore hotalloc <reason>)",
 					fn.Name.Name)
 			}
 		case isBuiltinCall(pass.Pkg, call, "append") && len(call.Args) > 0:

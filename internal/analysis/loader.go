@@ -66,9 +66,6 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleRoot returns the absolute module root directory.
-func (l *Loader) ModuleRoot() string { return l.moduleRoot }
-
 // FileSet returns the loader's shared file set, which positions every
 // node of every loaded package.
 func (l *Loader) FileSet() *token.FileSet { return l.fset }
@@ -84,9 +81,6 @@ func (l *Loader) Loaded() []*Package {
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
 }
-
-// ModulePath returns the module's import path prefix.
-func (l *Loader) ModulePath() string { return l.modulePath }
 
 // modulePathOf extracts the module path from a go.mod file.
 func modulePathOf(gomod string) (string, error) {

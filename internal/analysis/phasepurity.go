@@ -16,11 +16,6 @@ type PhasePurityConfig struct {
 	// The list must be sorted and duplicate-free (NewPhasePurity panics
 	// otherwise), so the allowlist cannot silently drift.
 	Sanctioned []string
-	// ApprovedSync lists declared functions allowed to use sync
-	// primitives (channels, mutexes, atomics, goroutine launches) while
-	// reachable from a parallel root. The marked roots themselves are
-	// always approved — they are the pool drivers. Sorted, duplicate-free.
-	ApprovedSync []string
 	// ApprovedSyncPackages lists package-path prefixes whose internal
 	// synchronization is a reviewed design decision: the thread-safe
 	// sinks (telemetry, metrics, the virtual network) that workers hit
@@ -31,19 +26,14 @@ type PhasePurityConfig struct {
 
 // DefaultPhasePurityConfig sanctions the two audited wall-clock shims
 // (the same ones the nodeterminism rule sanctions: the imbalance
-// statistic never feeds simulation state). No extra sync paths: every
-// synchronization the phase needs lives in the marked pool drivers.
+// statistic never feeds simulation state). Outside the thread-safe
+// sink packages, every synchronization the phase needs lives in the
+// marked pool drivers, which are always exempt from the sync checks.
 func DefaultPhasePurityConfig() PhasePurityConfig {
 	return PhasePurityConfig{
 		Sanctioned: []string{
 			"nwade/internal/obs.wallNow",
 			"nwade/internal/roadnet.wallNow",
-		},
-		// runPool is the engine's own pool driver; a region worker
-		// stepping its wholly-owned engine runs it nested, and its
-		// WaitGroup/atomic choreography is the sanctioned way in.
-		ApprovedSync: []string{
-			"nwade/internal/sim.Engine.runPool",
 		},
 		ApprovedSyncPackages: []string{
 			"nwade/internal/metrics",
@@ -70,7 +60,6 @@ var parallelRootRe = regexp.MustCompile(`^//lint:parallel-root\b`)
 // hunts the pointer aliasing the lint cannot see (DESIGN.md §14).
 func NewPhasePurity(cfg PhasePurityConfig) *Analyzer {
 	sanctioned := mustSortedSet("phasepurity", "Sanctioned", cfg.Sanctioned)
-	approvedSync := mustSortedSet("phasepurity", "ApprovedSync", cfg.ApprovedSync)
 	mustSortedSet("phasepurity", "ApprovedSyncPackages", cfg.ApprovedSyncPackages)
 	a := &Analyzer{
 		Name: "phasepurity",
@@ -103,7 +92,7 @@ func NewPhasePurity(cfg PhasePurityConfig) *Analyzer {
 				node:   n,
 				root:   origin[n].name(),
 				origin: origin,
-				skipSync: rootSet[n] || approvedSync[n.qualName()] ||
+				skipSync: rootSet[n] ||
 					(len(cfg.ApprovedSyncPackages) > 0 &&
 						prefixApplies(n.pkg.Path, cfg.ApprovedSyncPackages)),
 			}

@@ -37,18 +37,6 @@ func (p *Program) All() []*Package {
 	return p.Loader.Loaded()
 }
 
-// InScope reports whether the package is one of the requested analysis
-// targets (used by program analyzers to seed directives only from
-// packages the user asked about).
-func (p *Program) InScope(pkg *Package) bool {
-	for _, q := range p.Pkgs {
-		if q == pkg {
-			return true
-		}
-	}
-	return false
-}
-
 // ProgramPass hands the whole program to one program analyzer.
 type ProgramPass struct {
 	Analyzer *Analyzer

@@ -55,9 +55,6 @@ func TestPhasePurityRejectsBadLists(t *testing.T) {
 	wantPanic(t, "phasepurity Sanctioned", func() {
 		NewPhasePurity(PhasePurityConfig{Sanctioned: []string{"b", "a"}})
 	})
-	wantPanic(t, "phasepurity ApprovedSync", func() {
-		NewPhasePurity(PhasePurityConfig{ApprovedSync: []string{"x", "x"}})
-	})
 	wantPanic(t, "phasepurity ApprovedSyncPackages", func() {
 		NewPhasePurity(PhasePurityConfig{ApprovedSyncPackages: []string{"q", "p"}})
 	})

@@ -24,9 +24,9 @@ type engine struct {
 	total int
 }
 
-// runPool mimics the engine's pool driver: fn(i) runs on worker
-// goroutines, so everything reachable from the marked closure is inside
-// the parallel phase.
+// runPool mimics a pool driver such as roadnet's region pool: fn(i)
+// runs on worker goroutines, so everything reachable from the marked
+// closure is inside the parallel phase.
 func (e *engine) runPool(n int, fn func(int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -96,10 +96,11 @@ func (e *engine) visit(i int, f func(int)) { f(i) }
 // repository's audited wall-clock shims.
 func wallNow() time.Time { return time.Now() }
 
-// commitLocked is on the fixture's ApprovedSync list.
+// commitLocked is a helper the root reaches: only the marked root
+// itself may synchronize.
 func (e *engine) commitLocked() {
-	e.mu.Lock()
-	e.mu.Unlock()
+	e.mu.Lock()   // want "Mutex.Lock call inside the parallel phase"
+	e.mu.Unlock() // want "Mutex.Unlock call inside the parallel phase"
 }
 
 // ignored shows a local suppression of the program analyzer.

@@ -73,7 +73,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Faults, "faults", d.Faults, "network fault profile ("+strings.Join(vnet.FaultProfileNames(), ", ")+")")
 	fs.BoolVar(&f.Retrans, "retrans", d.Retrans, "enable the protocol retransmission layer (pair with -faults)")
 	fs.IntVar(&f.TickWorkers, "tick-workers", d.TickWorkers,
-		"in-run worker pool (per-tick phases for one intersection, regions for a network; results are bit-identical for any value)")
+		"region worker pool of a -network run (results are bit-identical for any value)")
 	return f
 }
 
@@ -114,6 +114,9 @@ func (f *Flags) Build() (sim.Scenario, error) {
 	} else {
 		if f.AttackRegion != 0 {
 			return sim.Scenario{}, fmt.Errorf("-attack-region needs -network")
+		}
+		if f.TickWorkers > 1 {
+			return sim.Scenario{}, fmt.Errorf("-tick-workers needs -network")
 		}
 		if f.Intersection == "mix" {
 			return sim.Scenario{}, fmt.Errorf(`layout "mix" needs -network`)

@@ -90,6 +90,13 @@ func TestBuildRejectsAttackRegionWithoutNetwork(t *testing.T) {
 	}
 }
 
+func TestBuildRejectsTickWorkersWithoutNetwork(t *testing.T) {
+	_, err := buildFrom(t, "-tick-workers", "2")
+	if err == nil || !strings.Contains(err.Error(), "-tick-workers needs -network") {
+		t.Fatalf("want tick-workers error, got %v", err)
+	}
+}
+
 func TestBuildRejectsMixWithoutNetwork(t *testing.T) {
 	_, err := buildFrom(t, "-intersection", "mix")
 	if err == nil || !strings.Contains(err.Error(), `"mix" needs -network`) {

@@ -255,7 +255,6 @@ func regionScenario(base sim.Scenario, reg *Region) sim.Scenario {
 	rc.Inter = reg.Inter
 	rc.Scheduler = nil // per-region instance, built from rc.Sched
 	rc.Seed = base.Seed + 1000*int64(reg.Index)
-	rc.Workers = 1 // parallelism lives at the region level
 	if reg.Index != base.AttackRegion {
 		rc.Attack = attack.Benign()
 	}
@@ -596,13 +595,4 @@ func (n *Network) Digest() string {
 		n.now, st.Handoffs, st.BoundaryExits, st.Reports, st.ReportRelays,
 		st.Advisories, st.HeadBeacons, st.HeadMismatches, bb.Delivered, bb.TotalPackets())
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// RegionDigests returns each region's event-log digest.
-func (n *Network) RegionDigests() []string {
-	out := make([]string, len(n.regs))
-	for i, r := range n.regs {
-		out[i] = metrics.Digest(r.eng.Result())
-	}
-	return out
 }

@@ -112,17 +112,18 @@ func TestOverlayParity(t *testing.T) {
 		Network: "grid:2x2", Intersection: "mix", Density: 10,
 		Duration: "6s", Seed: &seed, Scenario: "V1", AttackAt: "2s",
 		AttackRegion: &region, NWADE: &off, KeyBits: 512,
-		Faults: "lossy", Retrans: &on, TickWorkers: 2,
+		Faults: "lossy", Retrans: &on,
 	}
 	flipped, err := full.overlay(base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// TickWorkers keeps its default: a job's spec has no worker count.
 	want := cliconf.Flags{
 		Network: "grid:2x2", Intersection: "mix", Density: 10,
 		Duration: 6 * time.Second, Seed: 9, AttackName: "V1",
 		AttackAt: 2 * time.Second, AttackRegion: 1, NWADE: false,
-		KeyBits: 512, Faults: "lossy", Retrans: true, TickWorkers: 2,
+		KeyBits: 512, Faults: "lossy", Retrans: true, TickWorkers: 1,
 	}
 	if flipped != want {
 		t.Errorf("full overlay:\n got %+v\nwant %+v", flipped, want)

@@ -412,7 +412,6 @@ type Submit struct {
 	KeyBits      int     `json:"keybits,omitempty"`
 	Faults       string  `json:"faults,omitempty"`
 	Retrans      *bool   `json:"retrans,omitempty"`
-	TickWorkers  int     `json:"tick_workers,omitempty"`
 	// Client names the submitting tenant for quotas and metrics; the
 	// X-NWADE-Client header sets it too (the body field wins).
 	Client string `json:"client,omitempty"`
@@ -474,9 +473,6 @@ func (sub Submit) overlay(f cliconf.Flags) (cliconf.Flags, error) {
 	}
 	if sub.Retrans != nil {
 		f.Retrans = *sub.Retrans
-	}
-	if sub.TickWorkers != 0 {
-		f.TickWorkers = sub.TickWorkers
 	}
 	return f, nil
 }

@@ -127,6 +127,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"attack_region out of range", `{"network":"grid:2x2","attack_region":4}`},
 		{"attack_region without network", `{"attack_region":1}`},
 		{"unknown field", `{"scenaro":"V1"}`},
+		{"tick_workers is not a submission field", `{"tick_workers":2}`},
 		{"bad duration", `{"duration":"banana"}`},
 		{"bad throttle", `{"throttle":"5s"}`},
 		{"bad checkpoint interval", `{"checkpoint_every":"banana"}`},

@@ -11,8 +11,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"nwade/internal/attack"
@@ -95,11 +93,10 @@ type Scenario struct {
 	// KeyBits sizes the IM's signing key (default 2048; tests may use
 	// 1024 for speed).
 	KeyBits int
-	// Workers bounds the in-run worker pool that shards the message-
-	// delivery and vehicle-protocol phases of each tick across cores
-	// (<= 1 = fully sequential, the default). Results are bit-identical
-	// for any worker count: the parallel phases buffer their effects and
-	// commit them in the engine's deterministic spawn order.
+	// Workers bounds the region worker pool of a network run: roadnet
+	// steps up to this many regions concurrently (<= 1 = sequential, the
+	// default). Results are bit-identical for any worker count. A single
+	// intersection ignores it; its tick is sequential.
 	Workers int
 	// SpawnCutoff stops drawing new arrivals from the traffic generator
 	// after this simulated time (0 = never). Arrivals already deferred
@@ -147,7 +144,7 @@ type RegionConfig struct {
 }
 
 // HeadRebroadcastDefault is the IM head re-broadcast period installed by
-// Config.Resilience when IMConfig.HeadRebroadcast is unset.
+// Scenario.Resilience when IMConfig.HeadRebroadcast is unset.
 const HeadRebroadcastDefault = 2 * time.Second
 
 // Normalize fills defaults (exported for symmetry with vnet.Config and
@@ -297,14 +294,6 @@ type body struct {
 	// node is the body's network address, computed once at spawn so the
 	// per-tick phases never re-format it.
 	node vnet.NodeID
-	// buffered redirects the core's event sink into evBuf while a
-	// parallel phase owns this body; the engine flips it strictly before
-	// and after the phase, so workers only ever read it.
-	buffered bool
-	// evBuf/tickOuts hold the events and protocol outputs produced by a
-	// parallel phase until the deterministic commit replays them.
-	evBuf    []nwade.Event
-	tickOuts []nwade.Out
 }
 
 // WreckClearance is how long a permanently stopped vehicle blocks the
@@ -348,8 +337,8 @@ func (b *body) status(now time.Duration) plan.Status {
 // Engine is one simulation run.
 //
 //lint:checkpoint-state encode=Engine.Snapshot,Engine.AttackOnsets,Engine.Violations decode=Restore
-//lint:checkpoint-state derived=cfg,rng,bodies,grid,moveSlack,lanes,byNode,spawnScratch,obs,emit,workers,wctxs,verdicts
-//lint:checkpoint-state derived=imBuffered,imEvBuf,pollBuf,visBuf,blocked,tickList,parts,partIdx,nParts,groups,groupIdx,nGroups,delivRes
+//lint:checkpoint-state derived=cfg,rng,bodies,grid,moveSlack,lanes,byNode,spawnScratch,obs,emit,verdicts
+//lint:checkpoint-state derived=pollBuf,visBuf,neigh,blocked
 type Engine struct {
 	cfg Scenario
 	rng *rand.Rand
@@ -368,8 +357,8 @@ type Engine struct {
 	now time.Duration
 
 	// verdicts is the intersection's block verdict table, shared by
-	// every vehicle's chain view. Only deliver's serial pre-pass writes
-	// it; handlers, on the worker pool too, only read it.
+	// every vehicle's chain view. Only deliver's pre-pass writes it;
+	// handlers only read it.
 	verdicts *chain.Verdicts
 
 	// grid indexes present bodies for radius queries (sensing, legacy
@@ -413,73 +402,16 @@ type Engine struct {
 	obs *obs.Sink
 
 	// emit is the engine-level event sink (metrics collector plus the
-	// optional obs trace tee); the per-core sinks route through it so the
-	// parallel phases can buffer and replay events deterministically.
+	// optional obs trace tee), wired into every protocol core.
 	emit nwade.EventSink
 
-	// workers is the normalized in-run worker count (>= 1).
-	workers int
-	// wctxs holds one sensing/query context per worker; wctxs[0] doubles
-	// as the sequential path's scratch.
-	wctxs []workerCtx
-	// imBuffered/imEvBuf buffer the IM core's events while the parallel
-	// delivery phase owns it, exactly like body.buffered/evBuf.
-	imBuffered bool
-	imEvBuf    []nwade.Event
-
 	// Reusable per-tick buffers (allocation-free steady state): polled
-	// deliveries, IM perception, the spawn phase's blocked-lane set, the
-	// protocol tick's active-body list, and the parallel partition and
-	// delivery-commit state.
-	pollBuf  []vnet.Delivery
-	visBuf   []nwade.VehicleObs
-	blocked  map[intersection.LaneRef]bool
-	tickList []*body
-	parts    []tickPart
-	partIdx  map[gridKey]int
-	nParts   int
-	groups   []delivGroup
-	groupIdx map[vnet.NodeID]int
-	nGroups  int
-	delivRes []delivResult
-}
-
-// workerCtx is one worker's private query state for the parallel
-// protocol phase: a neighbor buffer for sense and a grid query scratch.
-type workerCtx struct {
-	neigh []nwade.Neighbor
-	gs    gridScratch
-}
-
-// tickPart is one spatial partition of the protocol phase: the protocol
-// vehicles of one grid region, in spawn order. Partitions are the unit
-// of work handed to the worker pool; the commit phase ignores them and
-// replays results in global spawn order, so the partitioning affects
-// locality only, never results. The region key is designed as the future
-// per-intersection shard boundary (see spatialGrid.regionOf).
-type tickPart struct {
-	bodies []*body
-}
-
-// delivGroup is one receiver's due deliveries (indices into the polled
-// batch, ascending). Grouping by receiver lets a worker process a
-// receiver's messages in their original relative order while other
-// receivers proceed concurrently.
-type delivGroup struct {
-	recv *body // nil for the IM
-	idxs []int
-}
-
-// delivResult records one delivery's buffered effects: the handler's
-// outputs and the half-open event segment appended to the receiver's
-// buffer. The commit phase replays segments and dispatches outputs in
-// the original delivery order.
-type delivResult struct {
-	outs     []nwade.Out
-	recv     *body // nil for the IM
-	im       bool
-	skip     bool
-	ev0, ev1 int
+	// deliveries, IM perception, sensed neighbors, and the spawn phase's
+	// blocked-lane set.
+	pollBuf []vnet.Delivery
+	visBuf  []nwade.VehicleObs
+	neigh   []nwade.Neighbor
+	blocked map[intersection.LaneRef]bool
 }
 
 // Option configures an Engine beyond its Config.
@@ -487,7 +419,6 @@ type Option func(*options)
 
 type options struct {
 	signer *chain.Signer
-	faults *vnet.FaultConfig
 	obs    *obs.Sink
 }
 
@@ -496,12 +427,6 @@ type options struct {
 // share one signer across rounds.
 func WithSigner(s *chain.Signer) Option {
 	return func(o *options) { o.signer = s }
-}
-
-// WithFaults installs a network fault-injection profile (overrides
-// Config.Net.Faults).
-func WithFaults(fc vnet.FaultConfig) Option {
-	return func(o *options) { o.faults = &fc }
 }
 
 // WithObs installs an observability sink: phase spans, protocol counters
@@ -515,14 +440,12 @@ func WithObs(s *obs.Sink) Option {
 // New builds an engine from a single-intersection scenario. A signer is
 // generated unless WithSigner provides one. Network scenarios
 // (Scenario.IsNetwork) are built by roadnet.New, which composes one
-// engine per region.
+// engine per region. Scenario.Workers does not apply: the tick is
+// sequential.
 func New(cfg Scenario, opts ...Option) (*Engine, error) {
 	var o options
 	for _, fn := range opts {
 		fn(&o)
-	}
-	if o.faults != nil {
-		cfg.Net.Faults = *o.faults
 	}
 	if cfg.IsNetwork() {
 		return nil, fmt.Errorf("sim: scenario %q is a road network; build it with roadnet.New", cfg.Network)
@@ -561,15 +484,13 @@ func New(cfg Scenario, opts ...Option) (*Engine, error) {
 		lanes:     make(map[intersection.LaneRef][]*body),
 		byNode:    make(map[vnet.NodeID]*body),
 		obs:       o.obs,
-		workers:   cfg.Workers,
-		wctxs:     make([]workerCtx, cfg.Workers),
 	}
 	e.emit = e.sink()
 	e.rng, e.rngSrc = detrand.New(cfg.Seed)
 	e.net = vnet.New(cfg.Net, cfg.Seed+1, e.locate)
 	e.net.SetObs(e.obs)
 	e.gen = traffic.NewGenerator(cfg.Inter, e.genConfig(), cfg.Seed+2)
-	e.im = nwade.NewIMCore(cfg.IMConfig, cfg.Inter, signer, cfg.Scheduler, e.imSink(), cfg.Attack.IMMalice())
+	e.im = nwade.NewIMCore(cfg.IMConfig, cfg.Inter, signer, cfg.Scheduler, e.emit, cfg.Attack.IMMalice())
 	e.im.SetObs(e.obs)
 	e.net.Register(vnet.IMNode)
 	return e, nil
@@ -598,31 +519,6 @@ func (e *Engine) sink() nwade.EventSink {
 	return func(ev nwade.Event) {
 		base(ev)
 		o.Event(ev.At, ev.Type.String(), uint64(ev.Actor), uint64(ev.Subject), ev.Info)
-	}
-}
-
-// sinkFor returns the event sink wired into one body's protocol core: it
-// forwards to the engine sink, except while a parallel phase owns the
-// body — then events land in the body's buffer and the commit phase
-// replays them in deterministic order.
-func (e *Engine) sinkFor(b *body) nwade.EventSink {
-	return func(ev nwade.Event) {
-		if b.buffered {
-			b.evBuf = append(b.evBuf, ev)
-			return
-		}
-		e.emit(ev)
-	}
-}
-
-// imSink is sinkFor's counterpart for the manager core.
-func (e *Engine) imSink() nwade.EventSink {
-	return func(ev nwade.Event) {
-		if e.imBuffered {
-			e.imEvBuf = append(e.imEvBuf, ev)
-			return
-		}
-		e.emit(ev)
 	}
 }
 
@@ -837,7 +733,7 @@ func (e *Engine) spawn(now time.Duration) {
 		b := &body{id: a.Vehicle, route: a.Route, v: a.Speed, arrive: now,
 			orderIdx: len(e.all), node: vnet.VehicleNode(uint64(a.Vehicle))}
 		b.core = nwade.NewVehicleCore(a.Vehicle, a.Char, a.Route, e.cfg.Inter, e.verdicts,
-			e.cfg.VehicleConfig, e.sinkFor(b), nil, now, a.Speed)
+			e.cfg.VehicleConfig, e.emit, nil, now, a.Speed)
 		b.core.SetObs(e.obs)
 		if a.Handoff {
 			// A handoff keeps its identity: the legacy flag crosses the
@@ -939,41 +835,33 @@ func (e *Engine) activateAttack(now time.Duration) {
 	e.rolesAssigned = true
 }
 
-// deliver routes due network messages into the protocol cores, returning
-// the number of deliveries processed. With workers > 1 the handlers run
-// concurrently, grouped by receiver (a receiver's messages keep their
-// relative order); their events and outputs are buffered and committed
-// in the original delivery order, so the event log and the network
-// schedule are bit-identical to the sequential path.
+// deliver routes due network messages into the protocol cores, in
+// delivery order, returning the number of deliveries processed.
 func (e *Engine) deliver(now time.Duration) int {
 	due := e.net.PollInto(now, e.pollBuf[:0])
 	e.pollBuf = due
 	if e.cfg.NWADE {
 		e.verifyBlocks(due)
 	}
-	if e.workers <= 1 || len(due) < minParallelDeliveries {
-		for _, d := range due {
-			if d.To == vnet.IMNode {
-				e.dispatch(now, vnet.IMNode, e.im.HandleMessage(now, d.Msg))
-				continue
-			}
-			b := e.byNode[d.To]
-			if b == nil || b.exited || b.legacy {
-				continue
-			}
-			if !e.cfg.NWADE {
-				e.plainHandle(b, d.Msg)
-				continue
-			}
-			e.dispatch(now, d.To, b.core.HandleMessage(now, d.Msg))
+	for _, d := range due {
+		if d.To == vnet.IMNode {
+			e.dispatch(now, vnet.IMNode, e.im.HandleMessage(now, d.Msg))
+			continue
 		}
-		return len(due)
+		b := e.byNode[d.To]
+		if b == nil || b.exited || b.legacy {
+			continue
+		}
+		if !e.cfg.NWADE {
+			e.plainHandle(b, d.Msg)
+			continue
+		}
+		e.dispatch(now, d.To, b.core.HandleMessage(now, d.Msg))
 	}
-	e.deliverParallel(now, due)
 	return len(due)
 }
 
-// verifyBlocks is deliver's serial pre-pass: before any handler runs, it
+// verifyBlocks is deliver's pre-pass: before any handler runs, it
 // checks the signature and Merkle root of each distinct block the due
 // messages carry, once, and records the blocks that pass in the verdict
 // table. Receivers then run only the per-vehicle steps of Algorithm 1 on
@@ -1002,150 +890,6 @@ func carries(due []vnet.Delivery, b *chain.Block) bool {
 		}
 	}
 	return false
-}
-
-// minParallelDeliveries / minParallelBodies gate the parallel paths: a
-// near-empty tick runs sequentially, avoiding pool overhead. The cutover
-// cannot affect results — both paths commit in the same order.
-const (
-	minParallelDeliveries = 4
-	minParallelBodies     = 8
-)
-
-// deliverParallel is the workers > 1 delivery phase: group by receiver,
-// handle groups concurrently with buffered effects, then commit in
-// delivery order.
-func (e *Engine) deliverParallel(now time.Duration, due []vnet.Delivery) {
-	// Group deliveries by receiver, preserving each receiver's order.
-	if e.groupIdx == nil {
-		e.groupIdx = make(map[vnet.NodeID]int)
-	} else {
-		clear(e.groupIdx)
-	}
-	e.nGroups = 0
-	if cap(e.delivRes) < len(due) {
-		e.delivRes = make([]delivResult, len(due))
-	} else {
-		e.delivRes = e.delivRes[:len(due)]
-	}
-	for i := range e.delivRes {
-		e.delivRes[i] = delivResult{}
-	}
-	for i, d := range due {
-		var recv *body
-		if d.To != vnet.IMNode {
-			recv = e.byNode[d.To]
-			if recv == nil || recv.exited || recv.legacy {
-				e.delivRes[i].skip = true
-				continue
-			}
-		}
-		gi, ok := e.groupIdx[d.To]
-		if !ok {
-			gi = e.claimGroup(recv)
-			e.groupIdx[d.To] = gi
-			if recv == nil {
-				e.imBuffered = true
-				e.imEvBuf = e.imEvBuf[:0]
-			} else {
-				recv.buffered = true
-				recv.evBuf = recv.evBuf[:0]
-			}
-		}
-		e.groups[gi].idxs = append(e.groups[gi].idxs, i)
-	}
-	// Handle each group's deliveries on the worker pool.
-	e.runPool(e.nGroups, func(gi int, _ *workerCtx) {
-		g := &e.groups[gi]
-		for _, di := range g.idxs {
-			d := due[di]
-			r := &e.delivRes[di]
-			r.recv = g.recv
-			if g.recv == nil {
-				r.im = true
-				r.ev0 = len(e.imEvBuf)
-				r.outs = e.im.HandleMessage(now, d.Msg)
-				r.ev1 = len(e.imEvBuf)
-				continue
-			}
-			r.ev0 = len(g.recv.evBuf)
-			if !e.cfg.NWADE {
-				e.plainHandle(g.recv, d.Msg)
-			} else {
-				r.outs = g.recv.core.HandleMessage(now, d.Msg)
-			}
-			r.ev1 = len(g.recv.evBuf)
-		}
-	})
-	// Commit strictly in delivery order: replay the handler's events,
-	// then put its outputs on the network — the exact interleaving the
-	// sequential loop produces.
-	e.imBuffered = false
-	for gi := 0; gi < e.nGroups; gi++ {
-		if b := e.groups[gi].recv; b != nil {
-			b.buffered = false
-		}
-	}
-	for i := range e.delivRes {
-		r := &e.delivRes[i]
-		if r.skip {
-			continue
-		}
-		if r.im {
-			for _, ev := range e.imEvBuf[r.ev0:r.ev1] {
-				e.emit(ev)
-			}
-			e.dispatch(now, vnet.IMNode, r.outs)
-			continue
-		}
-		for _, ev := range r.recv.evBuf[r.ev0:r.ev1] {
-			e.emit(ev)
-		}
-		e.dispatch(now, r.recv.node, r.outs)
-	}
-}
-
-// claimGroup reuses (or extends) the delivery-group scratch, returning
-// the new group's index.
-func (e *Engine) claimGroup(recv *body) int {
-	gi := e.nGroups
-	if gi < len(e.groups) {
-		e.groups[gi].recv = recv
-		e.groups[gi].idxs = e.groups[gi].idxs[:0]
-	} else {
-		e.groups = append(e.groups, delivGroup{recv: recv})
-	}
-	e.nGroups++
-	return gi
-}
-
-// runPool executes fn(i, ctx) for i in [0, n) on the engine's worker
-// pool. Work items are claimed atomically; each worker gets its own
-// context. The assignment of items to workers is scheduling-dependent —
-// callers must buffer any ordered effects and commit them afterwards.
-func (e *Engine) runPool(n int, fn func(int, *workerCtx)) {
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		ctx := &e.wctxs[w]
-		wg.Add(1)
-		//lint:parallel-root engine tick/delivery worker pool
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, ctx)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // plainHandle is the no-NWADE baseline: adopt plans without verification,
@@ -1189,104 +933,35 @@ func (e *Engine) tickIM(now time.Duration) int {
 	return len(visible)
 }
 
-// tickVehicles runs each vehicle core with its sensed neighborhood,
-// returning the number of cores ticked. With workers > 1 the sense +
-// decision phase runs per spatial partition on the worker pool; each
-// core's events and outputs are buffered and committed in spawn order,
-// which makes the result independent of the worker count (and identical
-// to the sequential path) by construction.
+// tickVehicles runs each protocol vehicle's core with its sensed
+// neighborhood, in spawn order, returning the number of cores ticked.
 func (e *Engine) tickVehicles(now time.Duration) int {
 	var ticked int
-	if !e.cfg.NWADE {
-		// Baseline: only the plan request is needed.
-		for _, b := range e.all {
-			if !b.present(now) || b.legacy {
-				continue
-			}
-			e.dispatch(now, b.node, b.core.TickRequestOnly(now))
-			ticked++
-		}
-		return ticked
-	}
-	// Collect this tick's protocol vehicles once, in spawn order.
-	e.tickList = e.tickList[:0]
 	for _, b := range e.all {
 		if !b.present(now) || b.legacy {
 			continue
 		}
-		e.tickList = append(e.tickList, b)
-	}
-	if e.workers <= 1 || len(e.tickList) < minParallelBodies {
-		w := &e.wctxs[0]
-		for _, b := range e.tickList {
-			e.dispatch(now, b.node, b.core.Tick(now, b.status(now), e.sense(b, w)))
+		if e.cfg.NWADE {
+			e.dispatch(now, b.node, b.core.Tick(now, b.status(now), e.sense(b)))
+		} else {
+			// Baseline: only the plan request is needed.
+			e.dispatch(now, b.node, b.core.TickRequestOnly(now))
 		}
-		return len(e.tickList)
+		ticked++
 	}
-	// Partition by spatial-grid region (the future per-intersection
-	// boundary). The partition layout steers locality only: results are
-	// committed in spawn order regardless of which worker ran a body.
-	if e.partIdx == nil {
-		e.partIdx = make(map[gridKey]int)
-	} else {
-		clear(e.partIdx)
-	}
-	e.nParts = 0
-	for _, b := range e.tickList {
-		k := e.grid.regionOf(b.pos())
-		pi, ok := e.partIdx[k]
-		if !ok {
-			pi = e.claimPart()
-			e.partIdx[k] = pi
-		}
-		e.parts[pi].bodies = append(e.parts[pi].bodies, b)
-		b.buffered = true
-		b.evBuf = b.evBuf[:0]
-		b.tickOuts = nil
-	}
-	e.runPool(e.nParts, func(pi int, ctx *workerCtx) {
-		for _, b := range e.parts[pi].bodies {
-			b.tickOuts = b.core.Tick(now, b.status(now), e.sense(b, ctx))
-		}
-	})
-	// Deterministic commit: replay each body's events and dispatch its
-	// outputs in spawn order — the sequential loop's exact interleaving.
-	for _, b := range e.tickList {
-		b.buffered = false
-		for _, ev := range b.evBuf {
-			e.emit(ev)
-		}
-		e.dispatch(now, b.node, b.tickOuts)
-		b.tickOuts = nil
-	}
-	return len(e.tickList)
-}
-
-// claimPart reuses (or extends) the partition scratch, returning the new
-// partition's index.
-func (e *Engine) claimPart() int {
-	pi := e.nParts
-	if pi < len(e.parts) {
-		e.parts[pi].bodies = e.parts[pi].bodies[:0]
-	} else {
-		e.parts = append(e.parts, tickPart{})
-	}
-	e.nParts++
-	return pi
+	return ticked
 }
 
 // sense returns the ground-truth statuses of vehicles within the sensing
-// radius of b, in the engine's deterministic iteration order, using the
-// caller's worker context for all scratch space (the grid index itself
-// is read-only here, so concurrent sense calls are safe). The grid query
-// and the all-pairs scan (senseScan) are equivalent by construction;
-// grid_test.go asserts it tick by tick. The returned slice is valid
-// until the context's next sense call; cores do not retain it.
-func (e *Engine) sense(b *body, w *workerCtx) []nwade.Neighbor {
-	out := w.neigh[:0]
+// radius of b, in the engine's deterministic iteration order. The grid
+// query and the all-pairs scan (senseScan) are equivalent by
+// construction; grid_test.go asserts it tick by tick. The returned slice
+// is valid until the next sense call; cores do not retain it.
+func (e *Engine) sense(b *body) []nwade.Neighbor {
+	out := e.neigh[:0]
 	r := e.cfg.VehicleConfig.SensingRadius
 	bp := b.pos()
-	e.grid.forEachOrderedWith(&w.gs, bp, r, 0, func(o *body) bool {
+	e.grid.forEachOrdered(bp, r, 0, func(o *body) bool {
 		if o == b || !o.present(e.now) {
 			return true
 		}
@@ -1295,7 +970,7 @@ func (e *Engine) sense(b *body, w *workerCtx) []nwade.Neighbor {
 		}
 		return true
 	})
-	w.neigh = out
+	e.neigh = out
 	return out
 }
 
@@ -1322,13 +997,12 @@ func (e *Engine) senseScan(b *body) []nwade.Neighbor {
 // pair; it relies on the grid state left by the last Step.
 func (e *Engine) SenseAll(useGrid bool) int {
 	var n int
-	w := &e.wctxs[0]
 	for _, b := range e.all {
 		if !b.present(e.now) || b.legacy {
 			continue
 		}
 		if useGrid {
-			n += len(e.sense(b, w))
+			n += len(e.sense(b))
 		} else {
 			n += len(e.senseScan(b))
 		}

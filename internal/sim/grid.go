@@ -19,21 +19,13 @@ import (
 // Cell edge length equals the sensing radius, so a radius query touches
 // at most the 3×3 block of cells around the center (plus slack overhang).
 //
-// Queries go through a gridScratch so concurrent readers (the parallel
-// protocol phase) can each bring their own buffers; the embedded sc0 is
-// the engine's single-threaded default. The cell index itself is
-// read-only between rebuilds, which makes concurrent queries safe.
+// Queries share the grid's one scratch, so they must not nest: no query
+// callback may start another query.
 type spatialGrid struct {
 	cell  float64
 	cells map[gridKey][]*body
-	// sc0 is the default query scratch for single-threaded callers.
-	sc0 gridScratch
-}
-
-// gridScratch holds one query context's reusable buffers: the candidate
-// buffer for unordered queries and the k-way-merge state for ordered
-// ones. Each concurrent querier owns one.
-type gridScratch struct {
+	// Query scratch: the candidate buffer for unordered queries and the
+	// k-way-merge state for ordered ones.
 	cand  []*body
 	lists [][]*body
 	heads []int
@@ -41,20 +33,6 @@ type gridScratch struct {
 
 // gridKey addresses one cell.
 type gridKey struct{ x, y int32 }
-
-// regionShift groups 4×4 cell blocks into one partition region for the
-// parallel protocol phase (see Engine.tickVehicles). With cell = sensing
-// radius this makes a region a few hundred meters across — the scale of
-// one intersection's approach area, which is deliberate: in a future
-// multi-intersection network the same key becomes the per-intersection
-// shard boundary.
-const regionShift = 2
-
-// regionOf maps a position to its partition region.
-func (g *spatialGrid) regionOf(p geom.Vec2) gridKey {
-	k := g.keyAt(p)
-	return gridKey{x: k.x >> regionShift, y: k.y >> regionShift}
-}
 
 // newSpatialGrid sizes the grid for the given query radius.
 func newSpatialGrid(cell float64) *spatialGrid {
@@ -88,18 +66,18 @@ func (g *spatialGrid) rebuild(all []*body, now time.Duration) {
 	}
 }
 
-// gatherInto collects every body whose indexed position lies within
-// r+slack of center into the scratch's candidate buffer. Slack widens the
-// query when bodies may have moved since the last rebuild (the physics
-// phase updates positions mid-tick); callers always apply the exact
-// live-position predicate themselves.
-func (g *spatialGrid) gatherInto(sc *gridScratch, center geom.Vec2, r, slack float64) []*body {
+// gather collects every body whose indexed position lies within r+slack
+// of center into the candidate buffer. Slack widens the query when bodies
+// may have moved since the last rebuild (the physics phase updates
+// positions mid-tick); callers always apply the exact live-position
+// predicate themselves.
+func (g *spatialGrid) gather(center geom.Vec2, r, slack float64) []*body {
 	rr := r + slack
 	x0 := int32(math.Floor((center.X - rr) / g.cell))
 	x1 := int32(math.Floor((center.X + rr) / g.cell))
 	y0 := int32(math.Floor((center.Y - rr) / g.cell))
 	y1 := int32(math.Floor((center.Y + rr) / g.cell))
-	sc.cand = sc.cand[:0]
+	g.cand = g.cand[:0]
 	for x := x0; x <= x1; x++ {
 		for y := y0; y <= y1; y++ {
 			// Skip cells whose nearest point is beyond the query disk.
@@ -109,43 +87,37 @@ func (g *spatialGrid) gatherInto(sc *gridScratch, center geom.Vec2, r, slack flo
 			if dx*dx+dy*dy > rr*rr {
 				continue
 			}
-			sc.cand = append(sc.cand, g.cells[gridKey{x, y}]...)
+			g.cand = append(g.cand, g.cells[gridKey{x, y}]...)
 		}
 	}
-	return sc.cand
+	return g.cand
 }
 
 // forEach calls fn for each candidate within r+slack of center, in no
 // particular order, stopping early when fn returns false. Use for
 // existence queries and minimum searches, where order cannot affect the
-// result. Single-threaded callers only (shared default scratch).
+// result.
 func (g *spatialGrid) forEach(center geom.Vec2, r, slack float64, fn func(*body) bool) {
-	for _, b := range g.gatherInto(&g.sc0, center, r, slack) {
+	for _, b := range g.gather(center, r, slack) {
 		if !fn(b) {
 			return
 		}
 	}
 }
 
-// forEachOrdered is forEachOrderedWith on the default scratch, for
-// single-threaded callers.
-func (g *spatialGrid) forEachOrdered(center geom.Vec2, r, slack float64, fn func(*body) bool) {
-	g.forEachOrderedWith(&g.sc0, center, r, slack, fn)
-}
-
-// forEachOrderedWith calls fn for each candidate within r+slack of center
-// in the engine's iteration order (ascending spawn index), preserving the
+// forEachOrdered calls fn for each candidate within r+slack of center in
+// the engine's iteration order (ascending spawn index), preserving the
 // exact neighbor ordering of the sequential all-pairs scan. Each cell's
 // slice is already in spawn order (rebuild inserts along the engine's
 // body list), so the global order falls out of a k-way merge over the few
 // cells in the query box — no sort.
-func (g *spatialGrid) forEachOrderedWith(sc *gridScratch, center geom.Vec2, r, slack float64, fn func(*body) bool) {
+func (g *spatialGrid) forEachOrdered(center geom.Vec2, r, slack float64, fn func(*body) bool) {
 	rr := r + slack
 	x0 := int32(math.Floor((center.X - rr) / g.cell))
 	x1 := int32(math.Floor((center.X + rr) / g.cell))
 	y0 := int32(math.Floor((center.Y - rr) / g.cell))
 	y1 := int32(math.Floor((center.Y + rr) / g.cell))
-	sc.lists = sc.lists[:0]
+	g.lists = g.lists[:0]
 	for x := x0; x <= x1; x++ {
 		for y := y0; y <= y1; y++ {
 			nx := clamp(center.X, float64(x)*g.cell, float64(x+1)*g.cell)
@@ -155,27 +127,27 @@ func (g *spatialGrid) forEachOrderedWith(sc *gridScratch, center geom.Vec2, r, s
 				continue
 			}
 			if cell := g.cells[gridKey{x, y}]; len(cell) > 0 {
-				sc.lists = append(sc.lists, cell)
+				g.lists = append(g.lists, cell)
 			}
 		}
 	}
-	sc.heads = sc.heads[:0]
-	for range sc.lists {
-		sc.heads = append(sc.heads, 0)
+	g.heads = g.heads[:0]
+	for range g.lists {
+		g.heads = append(g.heads, 0)
 	}
 	for {
 		best := -1
-		for i, h := range sc.heads {
-			if h < len(sc.lists[i]) &&
-				(best == -1 || sc.lists[i][h].orderIdx < sc.lists[best][sc.heads[best]].orderIdx) {
+		for i, h := range g.heads {
+			if h < len(g.lists[i]) &&
+				(best == -1 || g.lists[i][h].orderIdx < g.lists[best][g.heads[best]].orderIdx) {
 				best = i
 			}
 		}
 		if best == -1 {
 			return
 		}
-		b := sc.lists[best][sc.heads[best]]
-		sc.heads[best]++
+		b := g.lists[best][g.heads[best]]
+		g.heads[best]++
 		if !fn(b) {
 			return
 		}

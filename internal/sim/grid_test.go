@@ -54,7 +54,7 @@ func TestGridSenseMatchesScan(t *testing.T) {
 			if !b.present(e.now) || b.legacy {
 				continue
 			}
-			got := e.sense(b, &e.wctxs[0])
+			got := e.sense(b)
 			want := e.senseScan(b)
 			if len(got) != len(want) {
 				t.Fatalf("t=%v v%d: grid %d neighbors, scan %d", e.Now(), id, len(got), len(want))

@@ -151,8 +151,7 @@ func (e *Engine) Snapshot() (*State, error) {
 // Restore rebuilds an engine from a snapshot. cfg must be the original
 // run's configuration (same intersection, scenario, rates, seeds); the
 // signing key always comes from the snapshot, so restored block
-// signatures keep verifying. WithObs and WithFaults options are honored;
-// WithSigner is ignored.
+// signatures keep verifying. WithObs is honored; WithSigner is ignored.
 //
 // The restored engine is bit-identical to the snapshotted one: stepping
 // both produces the same event log, network schedule and digests.
@@ -160,9 +159,6 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 	var o options
 	for _, fn := range opts {
 		fn(&o)
-	}
-	if o.faults != nil {
-		cfg.Net.Faults = *o.faults
 	}
 	signer, err := chain.RestoreSigner(st.Protocol.Signer)
 	if err != nil {
@@ -197,8 +193,6 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 		byNode:       make(map[vnet.NodeID]*body),
 		obs:          o.obs,
 		now:          st.Engine.Now,
-		workers:      cfg.Workers,
-		wctxs:        make([]workerCtx, cfg.Workers),
 	}
 	e.emit = e.sink()
 	e.rng, e.rngSrc = detrand.New(cfg.Seed)
@@ -210,7 +204,7 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 	}
 	e.gen = traffic.NewGenerator(cfg.Inter, e.genConfig(), cfg.Seed+2)
 	e.gen.RestoreState(st.Traffic)
-	e.im = nwade.NewIMCore(cfg.IMConfig, cfg.Inter, signer, cfg.Scheduler, e.imSink(), cfg.Attack.IMMalice())
+	e.im = nwade.NewIMCore(cfg.IMConfig, cfg.Inter, signer, cfg.Scheduler, e.emit, cfg.Attack.IMMalice())
 	e.im.SetObs(e.obs)
 	if err := e.im.RestoreState(st.Protocol.IM); err != nil {
 		return nil, fmt.Errorf("sim: restore: %w", err)
@@ -251,7 +245,7 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 			orderIdx: i, node: vnet.VehicleNode(uint64(bs.ID)),
 		}
 		core := nwade.NewVehicleCore(bs.ID, cs.Char, route, cfg.Inter, e.verdicts,
-			cfg.VehicleConfig, e.sinkFor(b), nil, cs.ArriveAt, cs.Speed0)
+			cfg.VehicleConfig, e.emit, nil, cs.ArriveAt, cs.Speed0)
 		core.SetObs(e.obs)
 		if cs.Malice != nil {
 			m := cfg.Attack.MaliceFor(bs.ID, e.roles)

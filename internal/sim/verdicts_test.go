@@ -124,9 +124,8 @@ func TestVerdictTableDifferential(t *testing.T) {
 }
 
 // TestForgedBroadcastRejectedByEveryVehicle puts a forged block on the
-// engine's VANET mid-run, on the sequential and the parallel delivery
-// path: every vehicle on the road must reject it, and the verdict table
-// must not record it.
+// engine's VANET mid-run: every vehicle on the road must reject it, and
+// the verdict table must not record it.
 func TestForgedBroadcastRejectedByEveryVehicle(t *testing.T) {
 	forgeries := []struct {
 		name string
@@ -137,34 +136,32 @@ func TestForgedBroadcastRejectedByEveryVehicle(t *testing.T) {
 		{"tampered plan", waypointMoved, chain.ErrBadRoot},
 	}
 	for _, f := range forgeries {
-		for _, workers := range []int{1, 4} {
-			e := testEngine(t, Scenario{Duration: time.Minute, RatePerMin: 80, Seed: 5,
-				Attack: attack.Benign(), Workers: workers})
-			stepTo(e, 25*time.Second)
-			forged := f.make(e.IM().Head())
-			present := e.PresentVehicles()
-			sent := e.Net().BroadcastMsg(e.Now(), vnet.IMNode, nwade.KindBlock,
-				nwade.BlockMsg{Block: forged}, nwade.SizeOfBlock(forged))
-			if sent != len(present) || sent == 0 {
-				t.Fatalf("%s, workers=%d: broadcast reached %d receivers, %d vehicles present",
-					f.name, workers, sent, len(present))
+		e := testEngine(t, Scenario{Duration: time.Minute, RatePerMin: 80, Seed: 5,
+			Attack: attack.Benign()})
+		stepTo(e, 25*time.Second)
+		forged := f.make(e.IM().Head())
+		present := e.PresentVehicles()
+		sent := e.Net().BroadcastMsg(e.Now(), vnet.IMNode, nwade.KindBlock,
+			nwade.BlockMsg{Block: forged}, nwade.SizeOfBlock(forged))
+		if sent != len(present) || sent == 0 {
+			t.Fatalf("%s: broadcast reached %d receivers, %d vehicles present",
+				f.name, sent, len(present))
+		}
+		at := e.Now()
+		stepTo(e, at+time.Second)
+		rejected := map[plan.VehicleID]bool{}
+		for _, ev := range e.Collector().Events() {
+			if ev.At > at && ev.Type == nwade.EvBlockRejected && strings.Contains(ev.Info, f.want.Error()) {
+				rejected[ev.Actor] = true
 			}
-			at := e.Now()
-			stepTo(e, at+time.Second)
-			rejected := map[plan.VehicleID]bool{}
-			for _, ev := range e.Collector().Events() {
-				if ev.At > at && ev.Type == nwade.EvBlockRejected && strings.Contains(ev.Info, f.want.Error()) {
-					rejected[ev.Actor] = true
-				}
+		}
+		for _, id := range present {
+			if !rejected[id] {
+				t.Errorf("%s: vehicle %v did not reject the forged block", f.name, id)
 			}
-			for _, id := range present {
-				if !rejected[id] {
-					t.Errorf("%s, workers=%d: vehicle %v did not reject the forged block", f.name, workers, id)
-				}
-			}
-			if e.verdicts.Passed(forged) {
-				t.Errorf("%s, workers=%d: the verdict table recorded the forged block", f.name, workers)
-			}
+		}
+		if e.verdicts.Passed(forged) {
+			t.Errorf("%s: the verdict table recorded the forged block", f.name)
 		}
 	}
 }
