@@ -10,18 +10,12 @@
 //	go run ./cmd/nwade-lint ./...
 //	go run ./cmd/nwade-lint ./internal/nwade ./internal/eval/...
 //	go run ./cmd/nwade-lint -json ./... > findings.json
-//	go run ./cmd/nwade-lint -github -baseline lint.baseline.json ./...
+//	go run ./cmd/nwade-lint -github ./...
 //
 // Output modes: the default is the human "file:line: [analyzer] message"
 // form; -json emits a machine-readable findings array; -github emits
 // GitHub Actions workflow commands so CI findings surface as inline
-// error annotations on the pull request.
-//
-// A baseline file (-baseline) holds accepted findings as the same JSON
-// array -json writes: findings matching a baseline entry by (file,
-// analyzer, message) are suppressed, so a rule can land before the last
-// offender is fixed without making the gate advisory. The repository's
-// checked-in baseline (lint.baseline.json) is empty and must stay so.
+// error annotations on the pull request. Every finding gates.
 //
 // Suppression: //lint:ignore <analyzer> <reason> on the offending line
 // or the line directly above it (comma-separate several analyzers). The
@@ -52,8 +46,7 @@ func main() {
 	}
 }
 
-// finding is the machine-readable diagnostic form shared by -json
-// output and the baseline file.
+// finding is the machine-readable diagnostic form -json writes.
 type finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -69,7 +62,6 @@ func run(args []string, out io.Writer) (int, error) {
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
 	github := fs.Bool("github", false, "emit findings as GitHub Actions error annotations")
-	baselinePath := fs.String("baseline", "", "JSON baseline file of accepted findings to suppress")
 	fs.Usage = func() {
 		fmt.Fprintf(out, "usage: nwade-lint [flags] [packages]\n\n"+
 			"Patterns: ./... (module tree), dir, dir/... — relative to the module root.\n\n")
@@ -95,10 +87,6 @@ func run(args []string, out io.Writer) (int, error) {
 		return 0, err
 	}
 	loader, err := analysis.NewLoader(root)
-	if err != nil {
-		return 0, err
-	}
-	baseline, err := loadBaseline(*baselinePath)
 	if err != nil {
 		return 0, err
 	}
@@ -132,11 +120,7 @@ func run(args []string, out io.Writer) (int, error) {
 		if r, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(r, "..") {
 			file = filepath.ToSlash(r)
 		}
-		f := finding{File: file, Line: d.Pos.Line, Analyzer: d.Analyzer, Message: d.Message}
-		if baseline[baselineKey(f)] {
-			continue
-		}
-		findings = append(findings, f)
+		findings = append(findings, finding{File: file, Line: d.Pos.Line, Analyzer: d.Analyzer, Message: d.Message})
 	}
 
 	switch {
@@ -162,34 +146,6 @@ func run(args []string, out io.Writer) (int, error) {
 		}
 	}
 	return len(findings), nil
-}
-
-// baselineKey identifies a finding for baseline matching. Line numbers
-// are deliberately excluded: unrelated edits shift them, and a stale
-// baseline that silently stops matching would re-fail the build.
-func baselineKey(f finding) string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
-// loadBaseline reads a -json findings array to suppress ("" means no
-// baseline; an empty array is valid and suppresses nothing).
-func loadBaseline(path string) (map[string]bool, error) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var entries []finding
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	set := make(map[string]bool, len(entries))
-	for _, f := range entries {
-		set[baselineKey(f)] = true
-	}
-	return set, nil
 }
 
 // escapeAnnotation encodes a message for the workflow-command data

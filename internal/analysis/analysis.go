@@ -65,23 +65,6 @@ type ignoreKey struct {
 	line     int
 }
 
-// RunPackage applies per-package analyzers to one loaded package and
-// returns the surviving diagnostics sorted by position. A //lint:ignore
-// directive on the offending line, or on the line directly above it,
-// suppresses that analyzer's findings there. Program analyzers are
-// skipped — use Run with a Program for those.
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		if a.Run != nil {
-			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags})
-		}
-	}
-	ignores := make(map[ignoreKey]bool)
-	diags = collectIgnores(pkg, diags, ignores)
-	return finishDiags(diags, ignores)
-}
-
 // LintDirs loads every directory and runs the analyzers — per-package
 // rules over each directory's package, whole-program rules once over
 // the loaded set — returning the surviving diagnostics sorted by
@@ -107,7 +90,7 @@ func Default() []*Analyzer {
 	return []*Analyzer{
 		NewNoDeterminism(DefaultNoDeterminismConfig()),
 		NewMapRange(DefaultMapRangeConfig()),
-		NewFloatEq(DefaultFloatEqConfig()),
+		NewFloatEq(),
 		NewErrDrop(DefaultErrDropConfig()),
 		NewHotAlloc(DefaultHotAllocConfig()),
 		NewPhasePurity(DefaultPhasePurityConfig()),

@@ -37,7 +37,7 @@ func lintSourceCfg(t *testing.T, src string, cfg NoDeterminismConfig) []Diagnost
 	if err != nil {
 		t.Fatal(err)
 	}
-	return RunPackage(pkg, []*Analyzer{NewNoDeterminism(cfg)})
+	return Run(NewProgram(l, []*Package{pkg}), []*Analyzer{NewNoDeterminism(cfg)})
 }
 
 func TestSanctionedFunctionIsExempt(t *testing.T) {

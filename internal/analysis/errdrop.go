@@ -30,7 +30,6 @@ func DefaultErrDropConfig() ErrDropConfig {
 		{PkgPath: "nwade/internal/chain", Recv: "", Name: "Package"},
 		{PkgPath: "nwade/internal/chain", Recv: "Chain", Name: "Append"},
 		{PkgPath: "nwade/internal/chain", Recv: "Chain", Name: "Prepend"},
-		{PkgPath: "nwade/internal/chain", Recv: "Chain", Name: "VerifyWhole"},
 		{PkgPath: "nwade/internal/chain", Recv: "", Name: "VerifySignature"},
 		{PkgPath: "nwade/internal/chain", Recv: "", Name: "VerifyRoot"},
 		{PkgPath: "nwade/internal/chain", Recv: "", Name: "VerifyLink"},

@@ -70,9 +70,8 @@ func runFixture(t *testing.T, name string, analyzers []*Analyzer) {
 	if len(wants) == 0 {
 		t.Fatalf("fixture %s plants no expectations", name)
 	}
-	// Run with a single-package Program: per-package rules behave exactly
-	// as RunPackage would, and program rules (phasepurity, snapdrift) see
-	// the fixture as their whole scope.
+	// Run with a single-package Program: program rules (phasepurity,
+	// snapdrift) see the fixture as their whole scope.
 	for _, d := range Run(NewProgram(l, []*Package{pkg}), analyzers) {
 		matched := false
 		for _, w := range wants {
@@ -97,7 +96,7 @@ func TestNoDeterminismFixture(t *testing.T) {
 	// An empty prefix list applies the rule to every package, so the
 	// fixture is in scope even though it lives outside the sim core.
 	// The fixture declares its own wallNow shim, sanctioned exactly as
-	// the production eval/obs/roadnet shims are.
+	// the production eval and obs shims are.
 	runFixture(t, "nodeterminism", []*Analyzer{NewNoDeterminism(NoDeterminismConfig{
 		Sanctioned: []string{fixturePath + "nodeterminism.wallNow"},
 	})})
@@ -108,7 +107,7 @@ func TestMapRangeFixture(t *testing.T) {
 }
 
 func TestFloatEqFixture(t *testing.T) {
-	runFixture(t, "floateq", []*Analyzer{NewFloatEq(DefaultFloatEqConfig())})
+	runFixture(t, "floateq", []*Analyzer{NewFloatEq()})
 }
 
 func TestErrDropFixture(t *testing.T) {

@@ -4,38 +4,23 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
-	"path/filepath"
 	"strings"
 )
 
-// FloatEqConfig tunes the floateq analyzer.
-type FloatEqConfig struct {
-	// AllowFiles are path suffixes (slash-separated) of files where
-	// direct float comparison is approved — the designated comparison
-	// helpers live there.
-	AllowFiles []string
-}
-
-// DefaultFloatEqConfig approves only the eval package's comparison
-// helpers; everything else must go through them (or a tolerance).
-func DefaultFloatEqConfig() FloatEqConfig {
-	return FloatEqConfig{AllowFiles: []string{"internal/eval/eq.go"}}
-}
-
 // NewFloatEq builds the floateq analyzer: it reports == and != between
-// floating-point operands outside the approved helper files and test
-// files. Exact float equality is almost always a latent replay-breaker:
-// a re-ordered reduction or a fused multiply-add changes the bit
-// pattern without changing the math.
-func NewFloatEq(cfg FloatEqConfig) *Analyzer {
+// floating-point operands outside test files. Exact float equality is
+// almost always a latent replay-breaker: a re-ordered reduction or a
+// fused multiply-add changes the bit pattern without changing the math.
+// Where exact equality is meant (a tie-break on bit-equal values), the
+// site says so in a //lint:ignore floateq directive.
+func NewFloatEq() *Analyzer {
 	a := &Analyzer{
 		Name: "floateq",
-		Doc:  "flags ==/!= on floating-point operands outside the approved helpers",
+		Doc:  "flags ==/!= on floating-point operands",
 	}
 	a.Run = func(pass *Pass) {
 		for _, f := range pass.Pkg.Files {
-			name := filepath.ToSlash(pass.Pkg.Fset.Position(f.Pos()).Filename)
-			if allowedFile(name, cfg.AllowFiles) {
+			if strings.HasSuffix(pass.Pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
 				continue
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -50,7 +35,7 @@ func NewFloatEq(cfg FloatEqConfig) *Analyzer {
 				}
 				if isFloat(pass.Pkg.Info.TypeOf(bin.X)) || isFloat(pass.Pkg.Info.TypeOf(bin.Y)) {
 					pass.Reportf(bin.Pos(),
-						"%s on floating-point operands; compare through the eval/eq.go helpers or a tolerance", bin.Op)
+						"%s on floating-point operands; compare with a tolerance, or give the reason exact equality is meant in a //lint:ignore floateq", bin.Op)
 				}
 				return true
 			})
@@ -69,20 +54,6 @@ func isZeroConst(pass *Pass, expr ast.Expr) bool {
 	switch tv.Value.Kind() {
 	case constant.Int, constant.Float:
 		return constant.Sign(tv.Value) == 0
-	}
-	return false
-}
-
-// allowedFile reports whether file (slash-separated) is an approved
-// helper file or a test file.
-func allowedFile(file string, allow []string) bool {
-	if strings.HasSuffix(file, "_test.go") {
-		return true
-	}
-	for _, suf := range allow {
-		if strings.HasSuffix(file, suf) {
-			return true
-		}
 	}
 	return false
 }

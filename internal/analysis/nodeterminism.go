@@ -21,9 +21,9 @@ type NoDeterminismConfig struct {
 // DefaultNoDeterminismConfig bans wall-clock and global-RNG reads inside
 // the simulation core: everything a seeded replay flows through. The
 // observability and sweep layers are in scope too; the host clock may
-// enter only through the sanctioned per-package wallNow shims —
-// obs.wallNow (behind the explicit profiling mode), roadnet.wallNow,
-// and eval.wallNow (work-queue lease stamps; sequencing, never results).
+// enter only through two sanctioned wallNow shims — obs.wallNow, the
+// one measurement lane (profiling spans and obs.Stopwatch), and
+// eval.wallNow (work-queue lease stamps; sequencing, never results).
 func DefaultNoDeterminismConfig() NoDeterminismConfig {
 	return NoDeterminismConfig{
 		PackagePrefixes: []string{
@@ -40,7 +40,6 @@ func DefaultNoDeterminismConfig() NoDeterminismConfig {
 		Sanctioned: []string{
 			"nwade/internal/eval.wallNow",
 			"nwade/internal/obs.wallNow",
-			"nwade/internal/roadnet.wallNow",
 		},
 	}
 }

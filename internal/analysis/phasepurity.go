@@ -24,16 +24,16 @@ type PhasePurityConfig struct {
 	ApprovedSyncPackages []string
 }
 
-// DefaultPhasePurityConfig sanctions the two audited wall-clock shims
-// (the same ones the nodeterminism rule sanctions: the imbalance
-// statistic never feeds simulation state). Outside the thread-safe
-// sink packages, every synchronization the phase needs lives in the
-// marked pool drivers, which are always exempt from the sync checks.
+// DefaultPhasePurityConfig sanctions the one measurement lane,
+// obs.wallNow (the same shim the nodeterminism rule sanctions): region
+// workers time their steps with obs.Stopwatch, and the imbalance
+// statistic never feeds simulation state. Outside the thread-safe sink
+// packages, every synchronization the phase needs lives in the marked
+// pool drivers, which are always exempt from the sync checks.
 func DefaultPhasePurityConfig() PhasePurityConfig {
 	return PhasePurityConfig{
 		Sanctioned: []string{
 			"nwade/internal/obs.wallNow",
-			"nwade/internal/roadnet.wallNow",
 		},
 		ApprovedSyncPackages: []string{
 			"nwade/internal/metrics",

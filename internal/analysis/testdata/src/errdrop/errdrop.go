@@ -24,8 +24,8 @@ func dropped(c *chain.Chain, b *chain.Block) {
 
 // deferred discards through defer and go statements.
 func deferred(c *chain.Chain, b *chain.Block) {
-	defer c.VerifyWhole() // want "error result of nwade/internal/chain\.Chain\.VerifyWhole discarded"
-	go c.Prepend(b)       // want "error result of nwade/internal/chain\.Chain\.Prepend discarded"
+	defer c.Append(b) // want "error result of nwade/internal/chain\.Chain\.Append discarded"
+	go c.Prepend(b)   // want "error result of nwade/internal/chain\.Chain\.Prepend discarded"
 }
 
 // blanked sends the error position to the blank identifier.

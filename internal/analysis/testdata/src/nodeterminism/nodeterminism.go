@@ -42,7 +42,7 @@ func suppressed() time.Time {
 	return time.Now()
 }
 
-// wallNow mirrors the production wallNow shims (eval, obs, roadnet):
+// wallNow mirrors the production wallNow shims (eval, obs):
 // the fixture config sanctions it, so its body may read the host clock
 // without a finding.
 func wallNow() time.Time { return time.Now() }

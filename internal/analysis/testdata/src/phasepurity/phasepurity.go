@@ -93,7 +93,7 @@ func (e *engine) gather(i int) []int {
 func (e *engine) visit(i int, f func(int)) { f(i) }
 
 // wallNow is sanctioned by the fixture's config, like the real
-// repository's audited wall-clock shims.
+// repository's audited wall-clock shim.
 func wallNow() time.Time { return time.Now() }
 
 // commitLocked is a helper the root reaches: only the marked root

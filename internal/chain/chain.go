@@ -251,24 +251,3 @@ func (c *Chain) AllPlans() []*plan.TravelPlan {
 	}
 	return out
 }
-
-// VerifyWhole re-verifies every cached block and link, e.g. during global
-// verification when blocks were collected from peer vehicles.
-func (c *Chain) VerifyWhole() error {
-	var prev *Block
-	for i, b := range c.blocks {
-		if err := VerifySignature(c.pub, b); err != nil {
-			return fmt.Errorf("block %d: %w", b.Seq, err)
-		}
-		if err := VerifyRoot(b); err != nil {
-			return fmt.Errorf("block %d: %w", b.Seq, err)
-		}
-		if i > 0 {
-			if err := VerifyLink(prev, b); err != nil {
-				return fmt.Errorf("block %d: %w", b.Seq, err)
-			}
-		}
-		prev = b
-	}
-	return nil
-}

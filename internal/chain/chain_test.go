@@ -36,9 +36,6 @@ func TestChainAppendVerifies(t *testing.T) {
 	if c.Head().Seq != 3 {
 		t.Errorf("Head.Seq = %d", c.Head().Seq)
 	}
-	if err := c.VerifyWhole(); err != nil {
-		t.Errorf("VerifyWhole: %v", err)
-	}
 }
 
 func TestChainRejectsTamperedBlock(t *testing.T) {
@@ -160,26 +157,7 @@ func TestChainEmptyAccessors(t *testing.T) {
 	if c.Len() != 0 {
 		t.Error("empty Len != 0")
 	}
-	if err := c.VerifyWhole(); err != nil {
-		t.Errorf("empty VerifyWhole: %v", err)
-	}
 	if _, _, ok := c.PlanFor(1); ok {
 		t.Error("empty PlanFor found a plan")
-	}
-}
-
-func TestVerifyWholeDetectsMidChainTampering(t *testing.T) {
-	s, blocks := buildChain(t, 4)
-	c := NewChain(s.Public(), 0)
-	for _, b := range blocks {
-		if err := c.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Tamper a plan inside an already-cached block (e.g. a malicious
-	// peer handed over a modified copy of history).
-	c.blocks[1].Plans[0].Waypoints[0].S += 1
-	if err := c.VerifyWhole(); err == nil {
-		t.Error("VerifyWhole missed a tampered cached block")
 	}
 }

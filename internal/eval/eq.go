@@ -2,33 +2,9 @@ package eval
 
 import (
 	"fmt"
-	"math"
 
 	"nwade/internal/nwade"
 )
-
-// This file is the one place where direct floating-point equality is
-// approved (nwade-lint's floateq rule allow-lists it): the helpers below
-// are the sanctioned comparison vocabulary for everything else.
-
-// Eq is the approved exact float comparison. Use it only where exact
-// equality is the intended semantics — tie-breaks on bit-identical
-// inputs, matching a value copied verbatim from a sweep list — and
-// reach for Near or Close everywhere arithmetic was involved.
-func Eq(a, b float64) bool { return a == b }
-
-// Near reports whether a and b differ by at most tol.
-func Near(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-// Close reports whether a and b agree to a relative tolerance of 1e-9,
-// falling back to an absolute 1e-12 window near zero.
-func Close(a, b float64) bool {
-	if Eq(a, b) {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= math.Max(1e-9*scale, 1e-12)
-}
 
 // Eq2Result tabulates the paper's Eq. 2 detection-probability model.
 type Eq2Result struct {

@@ -49,11 +49,12 @@ type Config struct {
 	// order (see RunCells).
 	Workers int
 	// Faults injects a network fault profile into every simulation round
-	// (applied by runSpecs, so it reaches all generators uniformly). The
-	// zero value keeps rounds byte-identical to a fault-free build.
+	// (applied by applyHarness, so it reaches every generator uniformly,
+	// road-network rounds included). The zero value keeps rounds
+	// byte-identical to a fault-free build.
 	Faults vnet.FaultConfig
 	// Resilience enables the protocol retransmission layer in every
-	// round (sim.Scenario.Resilience).
+	// round (sim.Scenario.Resilience), network rounds included.
 	Resilience bool
 	// Settings restricts sweeps over attack settings (nil = the paper's
 	// full list); used by the generator registry wrappers for quick runs.

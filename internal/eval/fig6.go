@@ -8,6 +8,7 @@ import (
 	"nwade/internal/chain"
 	"nwade/internal/intersection"
 	"nwade/internal/nwade"
+	"nwade/internal/obs"
 	"nwade/internal/plan"
 	"nwade/internal/sched"
 	"nwade/internal/traffic"
@@ -98,28 +99,24 @@ func measureChainCost(signer *chain.Signer, inter *intersection.Intersection, de
 	const iters = 20
 	// Packaging cost (IM side).
 	var b *chain.Block
-	//lint:ignore nodeterminism wall-clock timing IS the Fig. 6 crypto-cost measurement
-	start := time.Now()
+	sw := obs.StartStopwatch()
 	for i := 0; i < iters; i++ {
 		b, err = chain.Package(signer, nil, time.Second, plans)
 		if err != nil {
 			return Fig6Row{}, err
 		}
 	}
-	//lint:ignore nodeterminism wall-clock timing IS the Fig. 6 crypto-cost measurement
-	pkg := time.Since(start) / iters
+	pkg := sw.Elapsed() / iters
 	// Verification cost (vehicle side, fresh cache each time).
 	checker := &plan.ConflictChecker{Inter: inter}
-	//lint:ignore nodeterminism wall-clock timing IS the Fig. 6 crypto-cost measurement
-	start = time.Now()
+	sw = obs.StartStopwatch()
 	for i := 0; i < iters; i++ {
 		c := chain.NewChain(signer.Public(), 0)
 		if err := nwade.VerifyBlock(c, checker, b, nil); err != nil {
 			return Fig6Row{}, err
 		}
 	}
-	//lint:ignore nodeterminism wall-clock timing IS the Fig. 6 crypto-cost measurement
-	ver := time.Since(start) / iters
+	ver := sw.Elapsed() / iters
 	return Fig6Row{
 		Kind:        inter.Kind,
 		Density:     density,

@@ -11,6 +11,7 @@ import (
 
 	"nwade/internal/attack"
 	"nwade/internal/nwade"
+	"nwade/internal/obs"
 	"nwade/internal/roadnet"
 	"nwade/internal/sim"
 )
@@ -32,10 +33,11 @@ func init() {
 
 // netScenario is the common network round setup: a V3 coalition in
 // region 0, advisory strength at the vehicles' global quorum so a
-// relayed report is actionable on its own.
+// relayed report is actionable on its own, under the harness's fault
+// profile and resilience switch.
 func netScenario(cfg Config, network string, seed int64) sim.Scenario {
 	sc, _ := attack.ByName("V3", cfg.AttackAt)
-	return sim.Scenario{
+	return cfg.applyHarness(sim.Scenario{
 		Network:         network,
 		Duration:        cfg.Duration,
 		RatePerMin:      cfg.Density,
@@ -45,7 +47,32 @@ func netScenario(cfg Config, network string, seed int64) sim.Scenario {
 		NWADE:           true,
 		KeyBits:         cfg.KeyBits,
 		AdvisoryReports: nwade.DefaultVehicleConfig().GlobalQuorum,
+	})
+}
+
+// netCell is one round of a network experiment.
+type netCell struct {
+	network string
+	round   int
+}
+
+// runNetRounds runs cfg.Rounds rounds of every network across the
+// worker pool and returns the outcomes network by network, rounds in
+// order. exp names the experiment in error messages.
+func runNetRounds(cfg Config, exp string, networks []string) ([]*netRound, error) {
+	var cells []netCell
+	for _, network := range networks {
+		for round := 0; round < cfg.Rounds; round++ {
+			cells = append(cells, netCell{network: network, round: round})
+		}
 	}
+	return RunCells(cfg.Workers, cells, func(c netCell) (*netRound, error) {
+		r, err := runNetRound(netScenario(cfg, c.network, cfg.BaseSeed+int64(c.round)), cfg.Obs)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s round %d: %w", exp, c.network, c.round, err)
+		}
+		return r, nil
+	})
 }
 
 // netRound is one network run's distilled outcome.
@@ -60,8 +87,8 @@ type netRound struct {
 // runNetRound executes one network round and extracts, for the first
 // suspect region 0 reported, when every other region learned of it and
 // when its vehicles acted on it.
-func runNetRound(cfg sim.Scenario) (*netRound, error) {
-	n, err := roadnet.New(cfg)
+func runNetRound(cfg sim.Scenario, sink *obs.Sink) (*netRound, error) {
+	n, err := roadnet.New(cfg, roadnet.WithObs(sink))
 	if err != nil {
 		return nil, err
 	}
@@ -140,17 +167,16 @@ func NetEvac(cfg Config) (*NetEvacResult, error) {
 		cfg.Rounds = 3
 	}
 	networks := []string{"corridor:2", "grid:2x2", "grid:2x3", "grid:3x3"}
+	rounds, err := runNetRounds(cfg, "netevac", networks)
+	if err != nil {
+		return nil, err
+	}
 	out := &NetEvacResult{Rounds: cfg.Rounds}
-	for _, network := range networks {
+	for i, network := range networks {
 		row := NetEvacRow{Network: network, Rounds: cfg.Rounds}
 		var latSum time.Duration
 		var evacSum int
-		for round := 0; round < cfg.Rounds; round++ {
-			sc := netScenario(cfg, network, cfg.BaseSeed+int64(round))
-			r, err := runNetRound(sc)
-			if err != nil {
-				return nil, fmt.Errorf("netevac %s round %d: %w", network, round, err)
-			}
+		for _, r := range rounds[i*cfg.Rounds : (i+1)*cfg.Rounds] {
 			row.Regions = r.regions
 			if !r.detected {
 				continue
@@ -235,13 +261,12 @@ func NetProp(cfg Config) (*NetPropResult, error) {
 		reached, evacuated int
 		repSum, evacSum    time.Duration
 	}
+	rounds, err := runNetRounds(cfg, "netprop", []string{network})
+	if err != nil {
+		return nil, err
+	}
 	var hops []agg
-	for round := 0; round < cfg.Rounds; round++ {
-		sc := netScenario(cfg, network, cfg.BaseSeed+int64(round))
-		r, err := runNetRound(sc)
-		if err != nil {
-			return nil, fmt.Errorf("netprop round %d: %w", round, err)
-		}
+	for _, r := range rounds {
 		if hops == nil {
 			hops = make([]agg, r.regions)
 		}

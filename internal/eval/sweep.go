@@ -109,16 +109,17 @@ type simSpec struct {
 }
 
 // applyHarness layers the harness-level fault profile and resilience
-// switch onto one spec, so every generator inherits them uniformly,
-// whether it went through runner.spec or built its sim.Scenario by hand.
-func (r *runner) applyHarness(s simSpec) simSpec {
-	if r.cfg.Faults.Enabled() && !s.cfg.Net.Faults.Enabled() {
-		s.cfg.Net.Faults = r.cfg.Faults
+// switch onto one round's scenario, so every generator inherits them
+// uniformly, whether it went through runner.spec, built its
+// sim.Scenario by hand, or runs a road network (netScenario).
+func (c Config) applyHarness(sc sim.Scenario) sim.Scenario {
+	if c.Faults.Enabled() && !sc.Net.Faults.Enabled() {
+		sc.Net.Faults = c.Faults
 	}
-	if r.cfg.Resilience {
-		s.cfg.Resilience = true
+	if c.Resilience {
+		sc.Resilience = true
 	}
-	return s
+	return sc
 }
 
 // specProbe, when non-nil, intercepts every round configuration a sweep
@@ -138,7 +139,7 @@ var errProbeAbort = errors.New("eval: sweep aborted by spec probe")
 func (r *runner) runSpecs(specs []simSpec) ([]*outcome, error) {
 	if specProbe != nil {
 		for _, s := range specs {
-			specProbe(r.applyHarness(s).cfg)
+			specProbe(r.cfg.applyHarness(s.cfg))
 		}
 		return nil, errProbeAbort
 	}
@@ -148,7 +149,7 @@ func (r *runner) runSpecs(specs []simSpec) ([]*outcome, error) {
 	}
 	key := func(i int, s simSpec) string { return r.cellKey(harness, i, s) }
 	return RunCellsStored(r.cfg.Workers, r.cfg.Store, key, outcomeCodec, specs, func(s simSpec) (*outcome, error) {
-		s = r.applyHarness(s)
+		s.cfg = r.cfg.applyHarness(s.cfg)
 		opts := []sim.Option{sim.WithSigner(r.signer)}
 		if r.cfg.Obs != nil {
 			opts = append(opts, sim.WithObs(r.cfg.Obs))

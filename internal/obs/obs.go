@@ -6,10 +6,11 @@
 // Determinism contract: everything obs records with the default options
 // is derived from simulated time and protocol state, so two runs of the
 // same seed produce byte-identical traces and summaries. The only wall-
-// clock read in the package is wallNow (wallclock.go), used exclusively
-// when Options.Profile is set — the explicitly nondeterministic profiling
-// mode — and sanctioned as such in the nodeterminism analyzer
-// configuration.
+// clock read in the package is wallNow (wallclock.go): spans reach it
+// only when Options.Profile is set — the explicitly nondeterministic
+// profiling mode — and other packages reach it only through Stopwatch,
+// whose readings are reported, never simulated on. The nodeterminism
+// analyzer configuration sanctions it as such.
 //
 // Nil-safety contract: every method on *Sink (and on Span values obtained
 // from one) is safe to call on a nil receiver and does nothing. Code under
@@ -75,14 +76,6 @@ func New(o Options) *Sink {
 // does not need it — every method is nil-safe — but CLIs use it to decide
 // whether to print a summary.
 func (s *Sink) Enabled() bool { return s != nil }
-
-// Profiling reports whether wall-clock span timing is on.
-func (s *Sink) Profiling() bool {
-	if s == nil {
-		return false
-	}
-	return s.opts.Profile
-}
 
 // Inc adds one to a counter.
 func (s *Sink) Inc(c Counter) { s.Add(c, 1) }

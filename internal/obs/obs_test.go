@@ -18,7 +18,7 @@ func TestNilSinkIsInert(t *testing.T) {
 	sp := s.Begin("tick", 0)
 	sp.AddItems(3)
 	sp.End(time.Second)
-	if s.Enabled() || s.Profiling() {
+	if s.Enabled() {
 		t.Fatalf("nil sink reports enabled")
 	}
 	if got := s.Counter(CntBlocksVerified); got != 0 {

@@ -361,11 +361,6 @@ func (n *Network) Results() []metrics.RunResult {
 	return out
 }
 
-// wallNow reads the host clock for the per-region imbalance statistic.
-// It never feeds simulation state; the nodeterminism analyzer sanctions
-// exactly this function in roadnet (like eval.wallNow and obs.wallNow).
-func wallNow() time.Time { return time.Now() }
-
 // stepRegions advances all regions one tick. Regions share no mutable
 // state, so any schedule of the pool produces the same result; the wall
 // clock is read only for the imbalance statistic.
@@ -376,9 +371,9 @@ func (n *Network) stepRegions() {
 	}
 	if w <= 1 {
 		for _, r := range n.regs {
-			t0 := wallNow()
+			sw := obs.StartStopwatch()
 			r.eng.Step()
-			r.wall += wallNow().Sub(t0)
+			r.wall += sw.Elapsed()
 		}
 		return
 	}
@@ -395,9 +390,9 @@ func (n *Network) stepRegions() {
 					return
 				}
 				r := n.regs[i]
-				t0 := wallNow()
+				sw := obs.StartStopwatch()
 				r.eng.Step()
-				r.wall += wallNow().Sub(t0)
+				r.wall += sw.Elapsed()
 			}
 		}()
 	}

@@ -182,7 +182,9 @@ func TestHandoffConservation(t *testing.T) {
 }
 
 // TestWorkerCountInvariance is the network determinism pin: a 2x2 grid
-// stepped by 1 worker and by 4 workers must digest bit-identically.
+// stepped by 1 worker and by 4 workers must digest bit-identically. Both
+// paths must also time every region's steps (RegionWall, which the
+// benchmark reads for region imbalance).
 func TestWorkerCountInvariance(t *testing.T) {
 	digests := make([]string, 2)
 	for i, workers := range []int{1, 4} {
@@ -195,6 +197,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 		}
 		n.Run()
 		digests[i] = n.Digest()
+		for r, wall := range n.RegionWall() {
+			if wall <= 0 {
+				t.Errorf("%d workers: region %d RegionWall = %v, want its summed step time", workers, r, wall)
+			}
+		}
 	}
 	if digests[0] != digests[1] {
 		t.Errorf("digest differs across worker counts:\n  1 worker : %s\n  4 workers: %s", digests[0], digests[1])

@@ -336,7 +336,7 @@ func (b *body) status(now time.Duration) plan.Status {
 
 // Engine is one simulation run.
 //
-//lint:checkpoint-state encode=Engine.Snapshot,Engine.AttackOnsets,Engine.Violations decode=Restore
+//lint:checkpoint-state encode=Engine.Snapshot,Engine.AttackOnsets,Engine.Violations decode=Restore,newEngine
 //lint:checkpoint-state derived=cfg,rng,bodies,grid,moveSlack,lanes,byNode,spawnScratch,obs,emit,verdicts
 //lint:checkpoint-state derived=pollBuf,visBuf,neigh,blocked
 type Engine struct {
@@ -458,6 +458,19 @@ func New(cfg Scenario, opts ...Option) (*Engine, error) {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 	}
+	e, err := newEngine(cfg, signer, o.obs)
+	if err != nil {
+		return nil, err
+	}
+	e.net.Register(vnet.IMNode)
+	return e, nil
+}
+
+// newEngine wires a fresh engine at time zero: the layout and
+// scheduler, the random stream, the network, the traffic generator and
+// the IM core, each seeded from cfg and observed by sink. New registers
+// the IM node on top; Restore overlays a snapshot's state.
+func newEngine(cfg Scenario, signer *chain.Signer, sink *obs.Sink) (*Engine, error) {
 	cfg = cfg.Normalize()
 	inter, err := cfg.BuildInter()
 	if err != nil {
@@ -483,7 +496,7 @@ func New(cfg Scenario, opts ...Option) (*Engine, error) {
 		moveSlack: 45 * cfg.Step.Seconds(),
 		lanes:     make(map[intersection.LaneRef][]*body),
 		byNode:    make(map[vnet.NodeID]*body),
-		obs:       o.obs,
+		obs:       sink,
 	}
 	e.emit = e.sink()
 	e.rng, e.rngSrc = detrand.New(cfg.Seed)
@@ -492,7 +505,6 @@ func New(cfg Scenario, opts ...Option) (*Engine, error) {
 	e.gen = traffic.NewGenerator(cfg.Inter, e.genConfig(), cfg.Seed+2)
 	e.im = nwade.NewIMCore(cfg.IMConfig, cfg.Inter, signer, cfg.Scheduler, e.emit, cfg.Attack.IMMalice())
 	e.im.SetObs(e.obs)
-	e.net.Register(vnet.IMNode)
 	return e, nil
 }
 
@@ -975,7 +987,7 @@ func (e *Engine) sense(b *body) []nwade.Neighbor {
 }
 
 // senseScan is the original O(V²) neighbor scan, kept as the reference
-// implementation for equivalence tests and the grid-vs-scan benchmarks.
+// implementation for the grid equivalence tests.
 func (e *Engine) senseScan(b *body) []nwade.Neighbor {
 	var out []nwade.Neighbor
 	r := e.cfg.VehicleConfig.SensingRadius
@@ -989,25 +1001,6 @@ func (e *Engine) senseScan(b *body) []nwade.Neighbor {
 		}
 	}
 	return out
-}
-
-// SenseAll runs a full sensing pass over every active protocol vehicle
-// using either the spatial grid or the reference scan, returning the
-// number of neighbor entries produced. Exported for the BenchmarkSense*
-// pair; it relies on the grid state left by the last Step.
-func (e *Engine) SenseAll(useGrid bool) int {
-	var n int
-	for _, b := range e.all {
-		if !b.present(e.now) || b.legacy {
-			continue
-		}
-		if useGrid {
-			n += len(e.sense(b))
-		} else {
-			n += len(e.senseScan(b))
-		}
-	}
-	return n
 }
 
 // physics advances every body one tick.

@@ -19,7 +19,6 @@ import (
 	"nwade/internal/attack"
 	"nwade/internal/chain"
 	"nwade/internal/detrand"
-	"nwade/internal/intersection"
 	"nwade/internal/metrics"
 	"nwade/internal/nwade"
 	"nwade/internal/plan"
@@ -164,48 +163,20 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: restore: %w", err)
 	}
-	cfg = cfg.Normalize()
-	inter, err := cfg.BuildInter()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Inter = inter
-	scheduler, err := cfg.BuildScheduler(inter)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Scheduler = scheduler
 	if len(st.Engine.Bodies) != len(st.Protocol.Vehicles) {
 		return nil, fmt.Errorf("sim: restore: %d bodies but %d vehicle cores",
 			len(st.Engine.Bodies), len(st.Protocol.Vehicles))
 	}
-	e := &Engine{
-		cfg:          cfg,
-		signer:       signer,
-		verdicts:     chain.NewVerdicts(signer.Public()),
-		col:          metrics.NewCollector(),
-		bodies:       make(map[plan.VehicleID]*body),
-		attackOnsets: make(map[plan.VehicleID]time.Duration),
-		violations:   make(map[plan.VehicleID]time.Duration),
-		grid:         newSpatialGrid(cfg.VehicleConfig.SensingRadius),
-		moveSlack:    45 * cfg.Step.Seconds(),
-		lanes:        make(map[intersection.LaneRef][]*body),
-		byNode:       make(map[vnet.NodeID]*body),
-		obs:          o.obs,
-		now:          st.Engine.Now,
+	e, err := newEngine(cfg, signer, o.obs)
+	if err != nil {
+		return nil, err
 	}
-	e.emit = e.sink()
-	e.rng, e.rngSrc = detrand.New(cfg.Seed)
+	e.now = st.Engine.Now
 	e.rngSrc.Restore(st.Engine.RNG)
-	e.net = vnet.New(cfg.Net, cfg.Seed+1, e.locate)
-	e.net.SetObs(e.obs)
 	if err := e.net.RestoreState(st.Net, nwade.DecodePayload); err != nil {
 		return nil, fmt.Errorf("sim: restore: %w", err)
 	}
-	e.gen = traffic.NewGenerator(cfg.Inter, e.genConfig(), cfg.Seed+2)
 	e.gen.RestoreState(st.Traffic)
-	e.im = nwade.NewIMCore(cfg.IMConfig, cfg.Inter, signer, cfg.Scheduler, e.emit, cfg.Attack.IMMalice())
-	e.im.SetObs(e.obs)
 	if err := e.im.RestoreState(st.Protocol.IM); err != nil {
 		return nil, fmt.Errorf("sim: restore: %w", err)
 	}
@@ -219,7 +190,7 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 		e.violations[id] = t
 	}
 	for _, a := range st.Engine.Deferred {
-		route, err := cfg.Inter.Route(a.RouteID)
+		route, err := e.cfg.Inter.Route(a.RouteID)
 		if err != nil {
 			return nil, fmt.Errorf("sim: restore deferred arrival %v: %w", a.Vehicle, err)
 		}
@@ -234,7 +205,7 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 		if cs.ID != bs.ID {
 			return nil, fmt.Errorf("sim: restore: body %d is %v but core is %v", i, bs.ID, cs.ID)
 		}
-		route, err := cfg.Inter.Route(bs.RouteID)
+		route, err := e.cfg.Inter.Route(bs.RouteID)
 		if err != nil {
 			return nil, fmt.Errorf("sim: restore body %v: %w", bs.ID, err)
 		}
@@ -244,11 +215,11 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 			legacy: bs.Legacy, waitingSince: bs.WaitingSince, stoppedAt: bs.StoppedAt,
 			orderIdx: i, node: vnet.VehicleNode(uint64(bs.ID)),
 		}
-		core := nwade.NewVehicleCore(bs.ID, cs.Char, route, cfg.Inter, e.verdicts,
-			cfg.VehicleConfig, e.emit, nil, cs.ArriveAt, cs.Speed0)
+		core := nwade.NewVehicleCore(bs.ID, cs.Char, route, e.cfg.Inter, e.verdicts,
+			e.cfg.VehicleConfig, e.emit, nil, cs.ArriveAt, cs.Speed0)
 		core.SetObs(e.obs)
 		if cs.Malice != nil {
-			m := cfg.Attack.MaliceFor(bs.ID, e.roles)
+			m := e.cfg.Attack.MaliceFor(bs.ID, e.roles)
 			if m == nil {
 				return nil, fmt.Errorf("sim: restore body %v: snapshot has malice flags but scenario assigns none", bs.ID)
 			}
