@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,8 +39,36 @@ import (
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "nwade-sim:", err)
+		var ue usageError
+		if errors.As(err, &ue) {
+			os.Exit(exitUsage)
+		}
 		os.Exit(1)
 	}
+}
+
+// exitUsage is the exit status of a command line refused before
+// anything runs (the flag package's convention); other failures exit 1.
+const exitUsage = 2
+
+// usageError marks a command line refused before anything runs.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// checkDir refuses a -checkpoint-dir that is not an existing directory,
+// before a run spends a checkpoint interval reaching its first write.
+func checkDir(dir string) error {
+	fi, err := os.Stat(dir)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return usageError{fmt.Errorf("-checkpoint-dir %s: no such directory", dir)}
+	case err != nil:
+		return usageError{fmt.Errorf("-checkpoint-dir: %w", err)}
+	case !fi.IsDir():
+		return usageError{fmt.Errorf("-checkpoint-dir %s: not a directory", dir)}
+	}
+	return nil
 }
 
 func run(args []string, out io.Writer) error {
@@ -58,14 +87,19 @@ func run(args []string, out io.Writer) error {
 		resume    = fs.String("resume", "", "resume from a checkpoint file; the checkpoint's spec replaces the configuration flags")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	if (*ckptEvery > 0 || *resume != "") && *rounds > 1 {
-		return fmt.Errorf("-checkpoint-every/-resume apply to single runs, not -rounds %d", *rounds)
+		return usageError{fmt.Errorf("-checkpoint-every/-resume apply to single runs, not -rounds %d", *rounds)}
+	}
+	if *ckptEvery > 0 {
+		if err := checkDir(*ckptDir); err != nil {
+			return err
+		}
 	}
 	cfg, err := cf.Build()
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	var ckpt *cliconf.Checkpoint
 	if *resume != "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,6 +73,44 @@ func TestRunBadFlags(t *testing.T) {
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Fatalf("run(%v) should fail", args)
+		}
+	}
+}
+
+// TestRunRejectsUnknownLayout pins the refusal of an unknown layout: a
+// usage error with the engine's message, before anything is built.
+func TestRunRejectsUnknownLayout(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-intersection", "hexagon"}, &buf)
+	const want = `sim: unknown intersection layout "hexagon" (want one of [cfi4 cross4 ddi4 irregular5 roundabout3])`
+	var ue usageError
+	if err == nil || err.Error() != want || !errors.As(err, &ue) {
+		t.Fatalf("err = %v, want usage error %q", err, want)
+	}
+}
+
+// TestCheckpointDirCheckedBeforeRun asserts that a -checkpoint-dir that
+// is missing, or is a file, is refused as a usage error naming the flag
+// before anything is simulated, for single and network runs alike.
+func TestCheckpointDirCheckedBeforeRun(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, network := range []string{"", "grid:2x2"} {
+		for _, dir := range []string{missing, file} {
+			var buf bytes.Buffer
+			args := []string{"-network", network, "-duration", "4s", "-density", "30", "-keybits", "512",
+				"-checkpoint-every", "2s", "-checkpoint-dir", dir}
+			err := run(args, &buf)
+			var ue usageError
+			if err == nil || !errors.As(err, &ue) || !strings.Contains(err.Error(), "-checkpoint-dir "+dir) {
+				t.Fatalf("network %q, dir %s: err = %v, want a usage error naming -checkpoint-dir", network, dir, err)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("network %q, dir %s: the run started:\n%s", network, dir, buf.String())
+			}
 		}
 	}
 }

@@ -121,7 +121,7 @@ func (f *Flags) Build() (sim.Scenario, error) {
 		if f.Intersection == "mix" {
 			return sim.Scenario{}, fmt.Errorf(`layout "mix" needs -network`)
 		}
-		if _, err := cfg.BuildInter(); err != nil {
+		if _, err := cfg.LayoutKind(); err != nil {
 			return sim.Scenario{}, err
 		}
 	}

@@ -165,6 +165,25 @@ func TestLoadRejectsDamagedFiles(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnknownLayout pins the refusal of a checkpoint whose
+// spec names an unknown layout, with the engine's message.
+func TestLoadRejectsUnknownLayout(t *testing.T) {
+	_, path := writeRun(t, "")
+	spec, st, err := snap.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Intersection = "hexagon"
+	bad := filepath.Join(t.TempDir(), "bad.snap")
+	if err := snap.WriteFile(bad, spec, st); err != nil {
+		t.Fatal(err)
+	}
+	const want = `snap: sim: unknown intersection layout "hexagon" (want one of [cfi4 cross4 ddi4 irregular5 roundabout3])`
+	if _, err := Load(bad); err == nil || err.Error() != want {
+		t.Fatalf("Load: err = %v, want %q", err, want)
+	}
+}
+
 // nullRegion returns the bytes of the network checkpoint at path with
 // its region 1 state replaced by null.
 func nullRegion(t *testing.T, path string) []byte {

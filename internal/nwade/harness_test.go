@@ -153,7 +153,7 @@ func mkIM(t *testing.T, sink EventSink, mal *IMMalice) *IMCore {
 func mkCar(t *testing.T, id plan.VehicleID, route *intersection.Route, sink EventSink, mal *VehicleMalice, arrive time.Duration) *VehicleCore {
 	s, in := fixtures(t)
 	return NewVehicleCore(id, plan.Characteristics{Brand: "Acme", Model: "T", Color: "red", Length: 4.5, Width: 1.9},
-		route, in, chain.NewVerdicts(s.Public()), DefaultVehicleConfig(), sink, mal, arrive, 15)
+		route, in, chain.NewVerdicts(s.Public()), nil, DefaultVehicleConfig(), sink, mal, arrive, 15)
 }
 
 // statusOn computes the ground-truth status of a vehicle exactly following

@@ -18,7 +18,7 @@ func mkResCar(t *testing.T, id plan.VehicleID, route *intersection.Route, sink E
 	cfg := DefaultVehicleConfig()
 	cfg.Resilience = res
 	return NewVehicleCore(id, plan.Characteristics{Brand: "Acme", Model: "T", Color: "red", Length: 4.5, Width: 1.9},
-		route, in, chain.NewVerdicts(s.Public()), cfg, sink, nil, 0, 15)
+		route, in, chain.NewVerdicts(s.Public()), nil, cfg, sink, nil, 0, 15)
 }
 
 // chainOf packages a linked chain of n blocks over the given plans.

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"nwade/internal/chain"
+	"nwade/internal/ordered"
 	"nwade/internal/plan"
 	"nwade/internal/sched"
 	"nwade/internal/vnet"
@@ -402,7 +403,7 @@ func (vc *VehicleCore) Snapshot() VehicleCoreState {
 		PendingSince:   vc.pendingSince,
 		Cooldown:       copyMap(vc.cooldown),
 		Dismissals:     copyMap(vc.dismissals),
-		LastNeighbors:  copyMap(vc.lastNeighbors),
+		LastNeighbors:  neighborMap(vc.lastNeighbors),
 		Suspicion:      copyMap(vc.suspicion),
 		KnownSuspects:  copyMap(vc.knownSuspects),
 		GlobalIM:       copyMap(vc.globalIM),
@@ -480,7 +481,7 @@ func (vc *VehicleCore) RestoreState(st VehicleCoreState) error {
 	vc.pendingSince = st.PendingSince
 	vc.cooldown = copyMap(st.Cooldown)
 	vc.dismissals = copyMap(st.Dismissals)
-	vc.lastNeighbors = copyMap(st.LastNeighbors)
+	vc.lastNeighbors = neighborList(st.LastNeighbors)
 	vc.suspicion = copyMap(st.Suspicion)
 	vc.knownSuspects = copyMap(st.KnownSuspects)
 	vc.globalIM = copyMap(st.GlobalIM)
@@ -531,6 +532,24 @@ func (vc *VehicleCore) RestoreState(st VehicleCoreState) error {
 		vc.mal.sentFalseGlobal = st.Malice.SentFalseGlobal
 	}
 	return nil
+}
+
+// neighborMap is the checkpoint form of a sensed neighborhood.
+func neighborMap(ns []Neighbor) map[plan.VehicleID]plan.Status {
+	m := make(map[plan.VehicleID]plan.Status, len(ns))
+	for _, n := range ns {
+		m[n.ID] = n.Status
+	}
+	return m
+}
+
+// neighborList restores a sensed neighborhood in ascending ID order.
+func neighborList(m map[plan.VehicleID]plan.Status) []Neighbor {
+	ns := make([]Neighbor, 0, len(m))
+	for _, id := range ordered.Keys(m) {
+		ns = append(ns, Neighbor{ID: id, Status: m[id]})
+	}
+	return ns
 }
 
 // copyMap shallow-copies a map (nil in, nil out).

@@ -142,6 +142,9 @@ type VehicleCore struct {
 	// verdicts is the intersection's block verdict table; cache, and any
 	// cache that replaces it, reads it.
 	verdicts *chain.Verdicts
+	// table is the intersection's tick table: watch verdicts and block
+	// conflict proofs shared with the other vehicles (nil: none).
+	table *TickTable
 
 	arriveAt time.Duration
 	speed0   float64
@@ -155,7 +158,9 @@ type VehicleCore struct {
 	pendingSince   time.Duration
 	cooldown       map[plan.VehicleID]time.Duration
 	dismissals     map[plan.VehicleID]int
-	lastNeighbors  map[plan.VehicleID]plan.Status
+	// lastNeighbors is the neighborhood sensed at the last tick, a copy
+	// of the engine's list (IDs are distinct).
+	lastNeighbors []Neighbor
 	// suspicion counts consecutive observation windows a neighbor has
 	// been seen violating; a report needs two in a row (sensor
 	// confirmation against transients).
@@ -188,11 +193,12 @@ type VehicleCore struct {
 
 // NewVehicleCore creates the vehicle protocol core. Its chain view
 // verifies blocks with the verdict table's key and trusts the table's
-// verdicts; the engine shares one table among an intersection's
-// vehicles.
+// verdicts, and its watch and block checks share results through the
+// tick table; the engine shares one of each among an intersection's
+// vehicles. A nil tick table shares nothing.
 func NewVehicleCore(id plan.VehicleID, char plan.Characteristics, route *intersection.Route,
-	inter *intersection.Intersection, verdicts *chain.Verdicts, cfg VehicleConfig, sink EventSink, mal *VehicleMalice,
-	arriveAt time.Duration, speed float64) *VehicleCore {
+	inter *intersection.Intersection, verdicts *chain.Verdicts, table *TickTable, cfg VehicleConfig, sink EventSink,
+	mal *VehicleMalice, arriveAt time.Duration, speed float64) *VehicleCore {
 	if cfg.SensingRadius <= 0 {
 		res := cfg.Resilience
 		cfg = DefaultVehicleConfig()
@@ -206,6 +212,7 @@ func NewVehicleCore(id plan.VehicleID, char plan.Characteristics, route *interse
 		inter:         inter,
 		chk:           &plan.ConflictChecker{Inter: inter},
 		verdicts:      verdicts,
+		table:         table,
 		cache:         verdicts.NewChain(cfg.ChainMax),
 		auto:          NewVehicleAutomaton(),
 		cfg:           cfg,
@@ -215,7 +222,6 @@ func NewVehicleCore(id plan.VehicleID, char plan.Characteristics, route *interse
 		speed0:        speed,
 		cooldown:      make(map[plan.VehicleID]time.Duration),
 		dismissals:    make(map[plan.VehicleID]int),
-		lastNeighbors: make(map[plan.VehicleID]plan.Status),
 		suspicion:     make(map[plan.VehicleID]int),
 		knownSuspects: make(map[plan.VehicleID]bool),
 		globalIM:      make(map[plan.VehicleID]GlobalReason),
@@ -410,7 +416,7 @@ func (vc *VehicleCore) handleBlock(now time.Duration, b *chain.Block, evacuation
 func (vc *VehicleCore) processBlock(now time.Duration, b *chain.Block, evacuation bool) []Out {
 	prevState := vc.auto.State()
 	_ = vc.auto.To(VBlockVerify)
-	err := verifyBlockObs(vc.cache, vc.chk, b, vc.knownSuspects, vc.obs)
+	err := verifyBlockObs(vc.cache, vc.chk, b, vc.knownSuspects, vc.table, now, vc.obs)
 	if err != nil {
 		vc.obs.Inc(obspkg.CntBlocksRejected)
 		vc.sink.emit(Event{At: now, Type: EvBlockRejected, Actor: vc.id, Info: err.Error()})
@@ -536,12 +542,12 @@ func (vc *VehicleCore) oldestSeq() uint64 {
 // vehicle's own observation of the suspect.
 func (vc *VehicleCore) handleVerifyReq(now time.Duration, vr VerifyRequest) []Out {
 	vc.obs.Inc(obspkg.CntVotesCast)
-	obs, visible := vc.lastNeighbors[vr.Suspect]
+	obs, visible := vc.lastSensed(vr.Suspect)
 	abnormal := false
 	if visible {
 		if p, _, ok := vc.cache.PlanFor(vr.Suspect); ok {
 			if r, err := vc.inter.Route(p.RouteID); err == nil {
-				_, _, abnormal = CheckAttack(p, r, obs, vc.cfg.Tolerance)
+				_, _, abnormal = vc.table.checkAttack(now, p, r, obs, vc.cfg.Tolerance)
 			}
 		}
 	}
@@ -609,7 +615,7 @@ func (vc *VehicleCore) handleEvacuation(now time.Duration, ea EvacuationAlert) [
 			}
 			continue
 		}
-		obs, visible := vc.lastNeighbors[s.Vehicle]
+		obs, visible := vc.lastSensed(s.Vehicle)
 		if !visible {
 			continue
 		}
@@ -686,11 +692,11 @@ func (vc *VehicleCore) handleGlobal(now time.Duration, gr GlobalReport) []Out {
 		vc.recordIMGlobal(gr)
 	case ReasonAbnormalVehicle:
 		// Claim (ii): a suspect is loose and the IM is not acting.
-		if obs, visible := vc.lastNeighbors[gr.Suspect]; visible {
+		if obs, visible := vc.lastSensed(gr.Suspect); visible {
 			// Nearby: perform our own local verification.
 			if p, _, ok := vc.cache.PlanFor(gr.Suspect); ok {
 				if r, err := vc.inter.Route(p.RouteID); err == nil {
-					if _, _, attack := CheckAttack(p, r, obs, vc.cfg.Tolerance); attack {
+					if _, _, attack := vc.table.checkAttack(now, p, r, obs, vc.cfg.Tolerance); attack {
 						outs = append(outs, vc.enterSelfEvac(now, ReasonAbnormalVehicle, 0, gr.Suspect)...)
 						return outs
 					}
@@ -737,6 +743,16 @@ func (vc *VehicleCore) dominantIMReason() GlobalReason {
 	return best
 }
 
+// lastSensed returns the status sensed for id at the last tick.
+func (vc *VehicleCore) lastSensed(id plan.VehicleID) (plan.Status, bool) {
+	for _, n := range vc.lastNeighbors {
+		if n.ID == id {
+			return n.Status, true
+		}
+	}
+	return plan.Status{}, false
+}
+
 // recordIMGlobal tallies a distinct reporter claiming IM misbehavior.
 func (vc *VehicleCore) recordIMGlobal(gr GlobalReport) {
 	vc.globalIM[gr.Reporter] = gr.Reason
@@ -755,10 +771,7 @@ func (vc *VehicleCore) Tick(now time.Duration, self plan.Status, neighbors []Nei
 		return vc.globalResendTick(now)
 	}
 	var outs []Out
-	clear(vc.lastNeighbors)
-	for _, n := range neighbors {
-		vc.lastNeighbors[n.ID] = n.Status
-	}
+	vc.lastNeighbors = append(vc.lastNeighbors[:0], neighbors...)
 	// Request a plan on first contact, and re-request with the current
 	// position while no plan has arrived (the batch may have been full,
 	// or the first request lost).
@@ -841,7 +854,7 @@ func (vc *VehicleCore) watch(now time.Duration, neighbors []Neighbor) []Out {
 		if err != nil {
 			continue
 		}
-		posErr, spdErr, violated := CheckAttack(p, r, n.Status, vc.cfg.Tolerance)
+		posErr, spdErr, violated := vc.table.checkAttack(now, p, r, n.Status, vc.cfg.Tolerance)
 		if !violated {
 			vc.suspicion[n.ID] = 0
 			continue
@@ -912,7 +925,7 @@ func (vc *VehicleCore) malTick(now time.Duration, neighbors []Neighbor) []Out {
 			vc.mal.sentFalseReport = true
 			// Fabricated evidence: claim the target is far off course.
 			ev := plan.Status{At: now}
-			if obs, ok := vc.lastNeighbors[target]; ok {
+			if obs, ok := vc.lastSensed(target); ok {
 				ev = obs
 				ev.Pos = ev.Pos.Add(ev.Pos.Unit().Scale(25))
 				ev.Speed += 10

@@ -36,6 +36,13 @@ func ExpectedStatus(p *plan.TravelPlan, r *intersection.Route, t time.Duration) 
 	}
 }
 
+// expectedMotion is ExpectedStatus without the heading, which no
+// watcher check compares.
+func expectedMotion(p *plan.TravelPlan, r *intersection.Route, t time.Duration) plan.Status {
+	s, v := p.StateAt(t)
+	return plan.Status{Pos: r.Full.PointAt(s), Speed: v, At: t}
+}
+
 // Deviation measures how far an observation diverges from the expected
 // status: Euclidean position error and absolute speed error.
 func Deviation(expected, observed plan.Status) (posErr, speedErr float64) {
@@ -56,8 +63,7 @@ func (tol Tolerance) Violated(posErr, speedErr float64) bool {
 // (Algorithm 2) and the IM's direct check: given the suspect's plan and
 // route and an observation, it returns the deviation and the verdict.
 func CheckConduct(p *plan.TravelPlan, r *intersection.Route, observed plan.Status, tol Tolerance) (posErr, speedErr float64, violated bool) {
-	exp := ExpectedStatus(p, r, observed.At)
-	posErr, speedErr = Deviation(exp, observed)
+	posErr, speedErr = Deviation(expectedMotion(p, r, observed.At), observed)
 	return posErr, speedErr, tol.Violated(posErr, speedErr)
 }
 
@@ -81,7 +87,7 @@ func Aggressive(p *plan.TravelPlan, r *intersection.Route, obs plan.Status, tol 
 // after an evacuation upheaval — re-planning, not evacuation, fixes
 // those.
 func aggressiveWhy(p *plan.TravelPlan, r *intersection.Route, obs plan.Status, tol Tolerance) (string, float64) {
-	exp := ExpectedStatus(p, r, obs.At)
+	exp := expectedMotion(p, r, obs.At)
 	if obs.Speed > exp.Speed+tol.Speed {
 		return "overspeed", obs.Speed - exp.Speed
 	}
@@ -116,13 +122,17 @@ var ErrConflictingPlans = errors.New("nwade: block contains conflicting travel p
 // confirmed suspects named in an evacuation alert, whose old plans the
 // new schedules deliberately conflict with. It may be nil.
 func VerifyBlock(c *chain.Chain, checker *plan.ConflictChecker, b *chain.Block, exclude map[plan.VehicleID]bool) error {
-	return verifyBlockObs(c, checker, b, exclude, nil)
+	return verifyBlockObs(c, checker, b, exclude, nil, 0, nil)
 }
 
-// verifyBlockObs is VerifyBlock with per-check counters: each counter
-// increments only when its check actually runs, so early exits are
-// measured precisely. A nil sink costs one pointer check per counter.
-func verifyBlockObs(c *chain.Chain, checker *plan.ConflictChecker, b *chain.Block, exclude map[plan.VehicleID]bool, o *obspkg.Sink) error {
+// verifyBlockObs is VerifyBlock with per-check counters and the tick
+// table of the receiving intersection at tick now: step iv checks only
+// the prior plans that no receiver has proven conflict-free with b this
+// tick. Each counter increments only when its check runs, so early exits
+// are measured precisely. A nil sink costs one pointer check per
+// counter; a nil table proves nothing.
+func verifyBlockObs(c *chain.Chain, checker *plan.ConflictChecker, b *chain.Block, exclude map[plan.VehicleID]bool,
+	tt *TickTable, now time.Duration, o *obspkg.Sink) error {
 	// Steps i and iii are enforced by the chain cache (signature, root,
 	// link); do the cheap cryptographic checks before the plan math.
 	head := c.Head()
@@ -143,7 +153,9 @@ func verifyBlockObs(c *chain.Chain, checker *plan.ConflictChecker, b *chain.Bloc
 	// Step iv: consistency against the cached window. A vehicle's plan
 	// in the new block supersedes its older plans (rescheduling,
 	// evacuation), so prior plans of vehicles re-planned here are
-	// excluded from the cross-check.
+	// excluded from the cross-check. Priors the tick table has proven
+	// free are skipped; any conflict falls back to the full check, so a
+	// rejection reports the same first conflict either way.
 	replanned := make(map[plan.VehicleID]bool, len(b.Plans))
 	for _, p := range b.Plans {
 		replanned[p.Vehicle] = true
@@ -156,8 +168,10 @@ func verifyBlockObs(c *chain.Chain, checker *plan.ConflictChecker, b *chain.Bloc
 	}
 	if len(prior) > 0 {
 		o.Inc(obspkg.CntConflictChecks)
-		if cs := checker.CheckAll(b.Plans, prior); len(cs) > 0 {
-			return fmt.Errorf("%w: %v", ErrConflictingPlans, cs[0])
+		if !tt.priorsFree(now, checker, b, prior) {
+			if cs := checker.CheckAll(b.Plans, prior); len(cs) > 0 {
+				return fmt.Errorf("%w: %v", ErrConflictingPlans, cs[0])
+			}
 		}
 	}
 	// Signature, root, and head linkage were verified above (steps i and

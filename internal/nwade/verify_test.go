@@ -13,7 +13,7 @@ import (
 )
 
 // scheduledPlans produces a conflict-free batch via the real scheduler.
-func scheduledPlans(t *testing.T, n int) []*plan.TravelPlan {
+func scheduledPlans(t testing.TB, n int) []*plan.TravelPlan {
 	t.Helper()
 	_, in := fixtures(t)
 	ledger := sched.NewLedger(in)

@@ -84,11 +84,11 @@ func (p *Platoon) Schedule(reqs []Request, now time.Duration, ledger *Ledger) (o
 // the platoon is conflict-free against prior plans.
 func (p *Platoon) admitGroup(grp []Request, now time.Duration, ledger *Ledger, batch []*plan.TravelPlan, prof profileParams) ([]*plan.TravelPlan, error) {
 	prior := append(ledger.Active(), batch...)
-	t0 := grp[0].ArriveAt
-	if now > t0 {
-		t0 = now
+	builders := make([]*planBuilder, len(grp))
+	for i, req := range grp {
+		builders[i] = newPlanBuilder(req, now, prof)
 	}
-	outerLead := findLeader(grp[0], t0, prior, ledger)
+	outerLead := findLeader(grp[0], builders[0].t0, prior, ledger)
 	delay := time.Duration(0)
 	step := 600 * time.Millisecond
 	const maxIter = 400
@@ -102,7 +102,7 @@ func (p *Platoon) admitGroup(grp []Request, now time.Duration, ledger *Ledger, b
 			if i > 0 {
 				lead = &leadInfo{p: plans[i-1], sharedEnd: req.Route.CrossStart}
 			}
-			plans[i] = buildPlan(req, now, delay+time.Duration(i)*p.gap(), prof, lead)
+			plans[i] = builders[i].build(delay+time.Duration(i)*p.gap(), lead)
 		}
 		// Check platoon members against prior plans and each other.
 	check:
@@ -121,6 +121,9 @@ func (p *Platoon) admitGroup(grp []Request, now time.Duration, ledger *Ledger, b
 			}
 		}
 		if ok {
+			for i, q := range plans {
+				plans[i] = keep(q)
+			}
 			return plans, nil
 		}
 		delay += step

@@ -93,7 +93,43 @@ func findLeader(req Request, t0 time.Duration, prior []*plan.TravelPlan, ledger 
 	return &leadInfo{p: best, sharedEnd: math.Min(br.CrossStart, req.Route.CrossStart)}
 }
 
-// buildPlan integrates a simple longitudinal controller into a waypoint
+// planBuilder integrates candidate plans for one request. The admission
+// loops try one candidate per entry delay until one is conflict-free, so
+// the builder computes what does not depend on the delay once: the
+// earliest feasible entry, the plan's issue status, and the leader's
+// scheduled position at each integration step.
+type planBuilder struct {
+	req      Request
+	now, t0  time.Duration
+	prof     profileParams
+	earliest time.Duration // earliest arrival at the conflict-area entry
+	status   plan.Status
+	// leader is the plan the cached positions belong to; leaderS[k] is
+	// its scheduled arc length at the end of integration step k.
+	leader  *plan.TravelPlan
+	leaderS []float64
+	// ws is the waypoint scratch every candidate integrates into.
+	ws []plan.Waypoint
+}
+
+// newPlanBuilder prepares the candidates of req at time now.
+func newPlanBuilder(req Request, now time.Duration, prof profileParams) *planBuilder {
+	r := req.Route
+	t0 := req.ArriveAt
+	if now > t0 {
+		t0 = now
+	}
+	return &planBuilder{
+		req:      req,
+		now:      now,
+		t0:       t0,
+		prof:     prof,
+		earliest: earliestEntry(t0, req.CurrentS, req.Speed, r.CrossStart, prof),
+		status:   plan.Status{Pos: r.Full.PointAt(req.CurrentS), Speed: req.Speed, Heading: r.Full.HeadingAt(req.CurrentS), At: t0},
+	}
+}
+
+// build integrates a simple longitudinal controller into a waypoint
 // schedule. Before the conflict-area entry the controller drives at the
 // speed that arrives exactly at the target entry time (earliest feasible
 // plus the admission delay), which naturally produces slow-downs or a
@@ -101,35 +137,29 @@ func findLeader(req Request, t0 time.Duration, prior []*plan.TravelPlan, ledger 
 // the limit and holds it to the end of the route. When lead is non-nil
 // the controller additionally keeps a speed-dependent gap behind the
 // leading vehicle's scheduled position on the shared approach.
-func buildPlan(req Request, now time.Duration, delay time.Duration, prof profileParams, lead *leadInfo) *plan.TravelPlan {
-	p, _ := buildPlanInto(nil, req, now, delay, prof, lead)
-	return p
-}
-
-// buildPlanInto is buildPlan integrating into a reusable waypoint buffer:
-// the returned plan's Waypoints alias scratch's backing array, and the
-// grown buffer is returned for the next attempt. Retry loops that discard
-// most candidate plans (admit, the traffic-light scheduler) pass the same
-// scratch each iteration and copy the waypoints only on acceptance.
-func buildPlanInto(scratch []plan.Waypoint, req Request, now time.Duration, delay time.Duration, prof profileParams, lead *leadInfo) (*plan.TravelPlan, []plan.Waypoint) {
-	r := req.Route
-	t0 := req.ArriveAt
-	if now > t0 {
-		t0 = now
-	}
+//
+// Every candidate integrates into the builder's scratch: the returned
+// plan's waypoints are valid until the next build, and keep copies out
+// the plan a caller accepts.
+func (b *planBuilder) build(delay time.Duration, lead *leadInfo) *plan.TravelPlan {
+	prof := b.prof
+	r := b.req.Route
 	entryS := r.CrossStart
 	L := r.Full.Length()
-	target := earliestEntry(t0, req.CurrentS, req.Speed, entryS, prof) + delay
+	target := b.earliest + delay
+	if lead != nil && lead.p != b.leader {
+		b.leader, b.leaderS = lead.p, b.leaderS[:0]
+	}
 
 	dt := prof.dt.Seconds()
-	t, s, v := t0, req.CurrentS, req.Speed
-	ws := append(scratch[:0], plan.Waypoint{T: t, S: s, V: v})
+	t, s, v := b.t0, b.req.CurrentS, b.req.Speed
+	ws := append(b.ws[:0], plan.Waypoint{T: t, S: s, V: v})
 	lastWP := t
 	// Guard against runaway integration; generous enough for a stop of
 	// several minutes at a saturated intersection.
-	deadline := t0 + 30*time.Minute
+	deadline := b.t0 + 30*time.Minute
 
-	for s < L && t < deadline {
+	for k := 0; s < L && t < deadline; k++ {
 		var vdes float64
 		if s < entryS && t < target {
 			rem := entryS - s
@@ -160,8 +190,7 @@ func buildPlanInto(scratch []plan.Waypoint, req Request, now time.Duration, dela
 		// position minus a speed-dependent gap while on the shared
 		// approach. Safety overrides the comfort deceleration limit.
 		if lead != nil && s < lead.sharedEnd {
-			sL, _ := lead.p.StateAt(t + prof.dt)
-			maxS := sL - (followGapDist + followGapTime.Seconds()*v)
+			maxS := b.leaderAt(k) - (followGapDist + followGapTime.Seconds()*v)
 			if s+v*dt > maxS {
 				v = math.Max(0, (maxS-s)/dt)
 			}
@@ -181,12 +210,30 @@ func buildPlanInto(scratch []plan.Waypoint, req Request, now time.Duration, dela
 		// the route so occupancy stays bounded.
 		ws = append(ws, plan.Waypoint{T: t + time.Second, S: L, V: prof.vmax})
 	}
+	b.ws = ws
 	return &plan.TravelPlan{
-		Vehicle:   req.Vehicle,
-		Char:      req.Char,
-		Status:    plan.Status{Pos: r.Full.PointAt(req.CurrentS), Speed: req.Speed, Heading: r.Full.HeadingAt(req.CurrentS), At: t0},
+		Vehicle:   b.req.Vehicle,
+		Char:      b.req.Char,
+		Status:    b.status,
 		RouteID:   r.ID,
 		Waypoints: ws,
-		Issued:    now,
-	}, ws
+		Issued:    b.now,
+	}
+}
+
+// leaderAt returns the leader's scheduled arc length at the end of
+// integration step k, t0 + (k+1)·dt. Steps that consult the leader form a
+// prefix of the integration, so the cache fills in order.
+func (b *planBuilder) leaderAt(k int) float64 {
+	for len(b.leaderS) <= k {
+		sL, _ := b.leader.StateAt(b.t0 + time.Duration(len(b.leaderS)+1)*b.prof.dt)
+		b.leaderS = append(b.leaderS, sL)
+	}
+	return b.leaderS[k]
+}
+
+// keep detaches an accepted candidate from the builder's scratch.
+func keep(p *plan.TravelPlan) *plan.TravelPlan {
+	p.Waypoints = append([]plan.Waypoint(nil), p.Waypoints...)
+	return p
 }

@@ -138,21 +138,13 @@ var ErrUnschedulable = errors.New("sched: request cannot be scheduled within hor
 // schedulers.
 func admit(req Request, now time.Duration, ledger *Ledger, batch []*plan.TravelPlan, prof profileParams) (*plan.TravelPlan, error) {
 	prior := append(ledger.Active(), batch...)
-	t0 := req.ArriveAt
-	if now > t0 {
-		t0 = now
-	}
-	lead := findLeader(req, t0, prior, ledger)
+	b := newPlanBuilder(req, now, prof)
+	lead := findLeader(req, b.t0, prior, ledger)
 	delay := time.Duration(0)
 	step := 600 * time.Millisecond
 	const maxIter = 400
-	// Rejected candidate plans dominate this loop, so they all integrate
-	// into one reusable waypoint buffer; only the accepted plan's
-	// waypoints are copied out.
-	var ws []plan.Waypoint
 	for i := 0; i < maxIter; i++ {
-		var p *plan.TravelPlan
-		p, ws = buildPlanInto(ws, req, now, delay, prof, lead)
+		p := b.build(delay, lead)
 		ok := true
 		for _, q := range prior {
 			if cf := ledger.checker.Check(p, q); cf != nil {
@@ -161,8 +153,7 @@ func admit(req Request, now time.Duration, ledger *Ledger, batch []*plan.TravelP
 			}
 		}
 		if ok {
-			p.Waypoints = append([]plan.Waypoint(nil), p.Waypoints...)
-			return p, nil
+			return keep(p), nil
 		}
 		delay += step
 		if delay > 30*time.Second {

@@ -84,12 +84,7 @@ func (t *TrafficLight) Schedule(reqs []Request, now time.Duration, ledger *Ledge
 	byVehicle := make(map[plan.VehicleID]*plan.TravelPlan, len(ordered))
 	prior := ledger.Active()
 	for _, req := range ordered {
-		t0 := req.ArriveAt
-		if now > t0 {
-			t0 = now
-		}
-		earliest := earliestEntry(t0, req.CurrentS, req.Speed, req.Route.CrossStart, prof)
-		p, err := t.admitInGreen(req, now, earliest, ledger, prior, accepted, prof)
+		p, err := t.admitInGreen(req, now, ledger, prior, accepted, prof)
 		if err != nil {
 			return nil, fmt.Errorf("traffic-light: %w", err)
 		}
@@ -105,17 +100,12 @@ func (t *TrafficLight) Schedule(reqs []Request, now time.Duration, ledger *Ledge
 
 // admitInGreen searches successive green windows of the request's leg for
 // a conflict-free admission.
-func (t *TrafficLight) admitInGreen(req Request, now, earliest time.Duration, ledger *Ledger, prior, batch []*plan.TravelPlan, prof profileParams) (*plan.TravelPlan, error) {
-	t0 := req.ArriveAt
-	if now > t0 {
-		t0 = now
-	}
-	lead := findLeader(req, t0, append(append([]*plan.TravelPlan{}, prior...), batch...), ledger)
+func (t *TrafficLight) admitInGreen(req Request, now time.Duration, ledger *Ledger, prior, batch []*plan.TravelPlan, prof profileParams) (*plan.TravelPlan, error) {
+	b := newPlanBuilder(req, now, prof)
+	lead := findLeader(req, b.t0, append(append([]*plan.TravelPlan{}, prior...), batch...), ledger)
 	const maxWindows = 40
+	earliest := b.earliest
 	entry := earliest
-	// Same scratch discipline as admit: rejected candidates reuse one
-	// waypoint buffer, the accepted plan copies out.
-	var ws []plan.Waypoint
 	for w := 0; w < maxWindows; w++ {
 		gs, ge := t.NextGreen(req.Route.From.Leg, entry)
 		if entry < gs {
@@ -127,8 +117,7 @@ func (t *TrafficLight) admitInGreen(req Request, now, earliest time.Duration, le
 			if delay < 0 {
 				delay = 0
 			}
-			var p *plan.TravelPlan
-			p, ws = buildPlanInto(ws, req, now, delay, prof, lead)
+			p := b.build(delay, lead)
 			if in, ok := p.TimeAt(req.Route.CrossStart); ok && in >= ge {
 				break // integration drifted past the window
 			}
@@ -148,8 +137,7 @@ func (t *TrafficLight) admitInGreen(req Request, now, earliest time.Duration, le
 				}
 			}
 			if !conflict {
-				p.Waypoints = append([]plan.Waypoint(nil), p.Waypoints...)
-				return p, nil
+				return keep(p), nil
 			}
 			entry += 700 * time.Millisecond
 		}

@@ -154,6 +154,25 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnknownLayout pins the refusal of an unknown layout
+// at submit time: 400, with the engine's message.
+func TestSubmitRejectsUnknownLayout(t *testing.T) {
+	_, hs := newTestServer(t, t.TempDir())
+	resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(`{"intersection":"hexagon"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e apiError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	const want = `sim: unknown intersection layout "hexagon" (want one of [cfi4 cross4 ddi4 irregular5 roundabout3])`
+	if resp.StatusCode != http.StatusBadRequest || e.Error != want {
+		t.Fatalf("status %d, error %q; want 400, %q", resp.StatusCode, e.Error, want)
+	}
+}
+
 func TestEventsStream(t *testing.T) {
 	_, hs := newTestServer(t, t.TempDir())
 	v := submit(t, hs.URL, quickJob)

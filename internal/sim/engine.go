@@ -233,16 +233,27 @@ func (c Scenario) BuildInter() (*intersection.Intersection, error) {
 	if c.Inter != nil {
 		return c.Inter, nil
 	}
+	kind, err := c.LayoutKind()
+	if err != nil {
+		return nil, err
+	}
+	return intersection.Build(kind, intersection.Config{})
+}
+
+// LayoutKind resolves the layout name Intersection (default "cross4")
+// without building its geometry, so a caller can refuse an unknown name
+// cheaply; BuildInter builds what it resolves.
+func (c Scenario) LayoutKind() (intersection.Kind, error) {
 	name := c.Intersection
 	if name == "" {
 		name = "cross4"
 	}
 	kind, ok := intersection.KindByName(name)
 	if !ok {
-		return nil, fmt.Errorf("sim: unknown intersection layout %q (want one of %v)",
+		return 0, fmt.Errorf("sim: unknown intersection layout %q (want one of %v)",
 			name, intersection.KindNameList())
 	}
-	return intersection.Build(kind, intersection.Config{})
+	return kind, nil
 }
 
 // BuildScheduler resolves the scenario's scheduler for the given
@@ -290,6 +301,11 @@ type body struct {
 	orderIdx int
 
 	posCache geom.Vec2
+	// sensed is the body's ground-truth status as sensors observe it
+	// this tick: set for every present body after the protocol-phase
+	// regrid, so the IM, the vehicle itself and every neighbor that
+	// senses it copy one value instead of each rebuilding it.
+	sensed plan.Status
 
 	// node is the body's network address, computed once at spawn so the
 	// per-tick phases never re-format it.
@@ -337,7 +353,7 @@ func (b *body) status(now time.Duration) plan.Status {
 // Engine is one simulation run.
 //
 //lint:checkpoint-state encode=Engine.Snapshot,Engine.AttackOnsets,Engine.Violations decode=Restore,newEngine
-//lint:checkpoint-state derived=cfg,rng,bodies,grid,moveSlack,lanes,byNode,spawnScratch,obs,emit,verdicts
+//lint:checkpoint-state derived=cfg,rng,bodies,grid,moveSlack,lanes,byNode,spawnScratch,obs,emit,verdicts,table
 //lint:checkpoint-state derived=pollBuf,visBuf,neigh,blocked
 type Engine struct {
 	cfg Scenario
@@ -360,6 +376,11 @@ type Engine struct {
 	// every vehicle's chain view. Only deliver's pre-pass writes it;
 	// handlers only read it.
 	verdicts *chain.Verdicts
+	// table is the intersection's tick table: the watch verdicts and
+	// block conflict proofs its vehicles share within a tick. The
+	// vehicle cores' handlers and ticks write it; the tick is
+	// sequential, so they never race.
+	table *nwade.TickTable
 
 	// grid indexes present bodies for radius queries (sensing, legacy
 	// gap acceptance, IM visibility). Rebuilt twice per tick.
@@ -486,6 +507,7 @@ func newEngine(cfg Scenario, signer *chain.Signer, sink *obs.Sink) (*Engine, err
 		cfg:          cfg,
 		signer:       signer,
 		verdicts:     chain.NewVerdicts(signer.Public()),
+		table:        nwade.NewTickTable(),
 		col:          metrics.NewCollector(),
 		bodies:       make(map[plan.VehicleID]*body),
 		attackOnsets: make(map[plan.VehicleID]time.Duration),
@@ -684,6 +706,7 @@ func (e *Engine) step() {
 	// and vehicle sensing read exact post-physics state).
 	sp = e.obs.Begin("regrid", now)
 	e.grid.rebuild(e.all, now)
+	e.senseAll(now)
 	sp.End(now)
 	sp = e.obs.Begin("im", now)
 	sp.AddItems(e.tickIM(now))
@@ -744,7 +767,7 @@ func (e *Engine) spawn(now time.Duration) {
 		}
 		b := &body{id: a.Vehicle, route: a.Route, v: a.Speed, arrive: now,
 			orderIdx: len(e.all), node: vnet.VehicleNode(uint64(a.Vehicle))}
-		b.core = nwade.NewVehicleCore(a.Vehicle, a.Char, a.Route, e.cfg.Inter, e.verdicts,
+		b.core = nwade.NewVehicleCore(a.Vehicle, a.Char, a.Route, e.cfg.Inter, e.verdicts, e.table,
 			e.cfg.VehicleConfig, e.emit, nil, now, a.Speed)
 		b.core.SetObs(e.obs)
 		if a.Handoff {
@@ -928,6 +951,17 @@ func (e *Engine) dispatch(now time.Duration, from vnet.NodeID, outs []nwade.Out)
 	}
 }
 
+// senseAll stores each present body's sensed status for the protocol
+// phase. Nothing moves a body between here and the collision phase,
+// which refreshes the speed of the bodies it stops.
+func (e *Engine) senseAll(now time.Duration) {
+	for _, b := range e.all {
+		if b.present(now) {
+			b.sensed = b.status(now)
+		}
+	}
+}
+
 // tickIM feeds the manager its perception snapshot and pumps its outputs.
 // Visibility is a grid query around the intersection center; the grid was
 // rebuilt after physics, so indexed positions are exact.
@@ -936,7 +970,7 @@ func (e *Engine) tickIM(now time.Duration) int {
 	r := e.cfg.IMConfig.PerceptionRadius
 	e.grid.forEachOrdered(geom.V(0, 0), r, 0, func(b *body) bool {
 		if b.present(now) && b.pos().Len() <= r {
-			visible = append(visible, nwade.VehicleObs{ID: b.id, Status: b.status(now)})
+			visible = append(visible, nwade.VehicleObs{ID: b.id, Status: b.sensed})
 		}
 		return true
 	})
@@ -954,7 +988,7 @@ func (e *Engine) tickVehicles(now time.Duration) int {
 			continue
 		}
 		if e.cfg.NWADE {
-			e.dispatch(now, b.node, b.core.Tick(now, b.status(now), e.sense(b)))
+			e.dispatch(now, b.node, b.core.Tick(now, b.sensed, e.sense(b)))
 		} else {
 			// Baseline: only the plan request is needed.
 			e.dispatch(now, b.node, b.core.TickRequestOnly(now))
@@ -969,16 +1003,21 @@ func (e *Engine) tickVehicles(now time.Duration) int {
 // query and the all-pairs scan (senseScan) are equivalent by
 // construction; grid_test.go asserts it tick by tick. The returned slice
 // is valid until the next sense call; cores do not retain it.
+//
+// The range test compares squared distances. Only inside a 1e-9
+// relative band around r² can the squared test and Dist(bp) <= r
+// disagree on rounding, so there it falls back to the distance itself.
 func (e *Engine) sense(b *body) []nwade.Neighbor {
 	out := e.neigh[:0]
 	r := e.cfg.VehicleConfig.SensingRadius
+	near, far := r*r*(1-1e-9), r*r*(1+1e-9)
 	bp := b.pos()
 	e.grid.forEachOrdered(bp, r, 0, func(o *body) bool {
 		if o == b || !o.present(e.now) {
 			return true
 		}
-		if o.pos().Dist(bp) <= r {
-			out = append(out, nwade.Neighbor{ID: o.id, Status: o.status(e.now)})
+		if d2 := o.pos().DistSq(bp); d2 <= near || (d2 <= far && o.pos().Dist(bp) <= r) {
+			out = append(out, nwade.Neighbor{ID: o.id, Status: o.sensed})
 		}
 		return true
 	})
@@ -1310,6 +1349,7 @@ func (e *Engine) collisions(now time.Duration) {
 					c.stopped, c.stoppedAt = true, now
 				}
 				a.v, c.v = 0, 0
+				a.sensed.Speed, c.sensed.Speed = 0, 0
 			}
 			return true
 		})

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -209,6 +210,54 @@ func TestGridQueryBounds(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("in-radius set = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestSenseRadiusBoundary places neighbors exactly at the sensing radius
+// and one ulp either side of it, on the axes and around the circle: the
+// grid query must keep exactly the neighbors the reference scan keeps,
+// and on the axes, where the distance is exact, those within r.
+func TestSenseRadiusBoundary(t *testing.T) {
+	e := gridEngine(t, 0)
+	r := e.cfg.VehicleConfig.SensingRadius
+	route := e.cfg.Inter.Routes[0]
+	var all []*body
+	place := func(p geom.Vec2) *body {
+		b := &body{id: plan.VehicleID(len(all) + 1), route: route, orderIdx: len(all), posCache: p}
+		all = append(all, b)
+		return b
+	}
+	observer := place(geom.V(0, 0))
+	want := map[plan.VehicleID]bool{}
+	for _, d := range []float64{r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1))} {
+		for _, p := range []geom.Vec2{geom.V(d, 0), geom.V(-d, 0), geom.V(0, d), geom.V(0, -d)} {
+			want[place(p).id] = d <= r
+		}
+	}
+	for deg := 1.0; deg < 360; deg += 7 {
+		s, c := math.Sincos(deg * math.Pi / 180)
+		for _, d := range []float64{r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1))} {
+			place(geom.V(d*c, d*s))
+		}
+	}
+	e.all = all
+	e.grid.rebuild(e.all, e.now)
+	e.senseAll(e.now)
+	got, scan := e.sense(observer), e.senseScan(observer)
+	if len(got) != len(scan) {
+		t.Fatalf("grid %d neighbors, scan %d", len(got), len(scan))
+	}
+	kept := map[plan.VehicleID]bool{}
+	for i := range got {
+		if got[i].ID != scan[i].ID || got[i].Status != scan[i].Status {
+			t.Fatalf("neighbor %d: grid %+v, scan %+v", i, got[i], scan[i])
+		}
+		kept[got[i].ID] = true
+	}
+	for id, in := range want {
+		if kept[id] != in {
+			t.Errorf("axis neighbor %v at %v: kept %v, want %v", id, all[id-1].pos(), kept[id], in)
 		}
 	}
 }

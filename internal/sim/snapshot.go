@@ -215,7 +215,7 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 			legacy: bs.Legacy, waitingSince: bs.WaitingSince, stoppedAt: bs.StoppedAt,
 			orderIdx: i, node: vnet.VehicleNode(uint64(bs.ID)),
 		}
-		core := nwade.NewVehicleCore(bs.ID, cs.Char, route, e.cfg.Inter, e.verdicts,
+		core := nwade.NewVehicleCore(bs.ID, cs.Char, route, e.cfg.Inter, e.verdicts, e.table,
 			e.cfg.VehicleConfig, e.emit, nil, cs.ArriveAt, cs.Speed0)
 		core.SetObs(e.obs)
 		if cs.Malice != nil {

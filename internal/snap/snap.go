@@ -145,7 +145,7 @@ func (s Spec) Scenario() (sim.Scenario, error) {
 		AdvisoryReports: s.AdvisoryReports,
 	}
 	if !cfg.IsNetwork() && s.Intersection != "" {
-		if _, err := cfg.BuildInter(); err != nil {
+		if _, err := cfg.LayoutKind(); err != nil {
 			return sim.Scenario{}, fmt.Errorf("snap: %w", err)
 		}
 	}
