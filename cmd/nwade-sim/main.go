@@ -111,10 +111,10 @@ func run(args []string, out io.Writer) error {
 	}
 	if cfg.IsNetwork() {
 		if *rounds > 1 {
-			return fmt.Errorf("-rounds applies to single-intersection runs, not -network %s", cfg.Network)
+			return usageError{fmt.Errorf("-rounds applies to single-intersection runs, not -network %s", cfg.Network)}
 		}
 		if *traceOut != "" || *obsRep || *pprofOut != "" {
-			return fmt.Errorf("-trace/-obs/-pprof are not supported with -network yet")
+			return usageError{fmt.Errorf("-trace/-obs/-pprof are not supported with -network yet")}
 		}
 	}
 	if *rounds > 1 {

@@ -115,6 +115,34 @@ func TestCheckpointDirCheckedBeforeRun(t *testing.T) {
 	}
 }
 
+// TestNetworkConflictsAreUsageErrors asserts that -network refuses
+// -rounds, -trace, -obs and -pprof as usage errors, before it prints
+// anything or creates a trace or profile file.
+func TestNetworkConflictsAreUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out")
+	for _, extra := range [][]string{
+		{"-rounds", "2"},
+		{"-trace", out},
+		{"-obs"},
+		{"-pprof", out},
+	} {
+		var buf bytes.Buffer
+		args := append([]string{"-network", "grid:2x2", "-duration", "4s", "-keybits", "512"}, extra...)
+		err := run(args, &buf)
+		var ue usageError
+		if err == nil || !errors.As(err, &ue) {
+			t.Fatalf("%v: err = %v, want a usage error", extra, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%v: the run started:\n%s", extra, buf.String())
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%v: %s exists (%v)", extra, out, err)
+		}
+	}
+}
+
 func TestCheckpointAndResume(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer

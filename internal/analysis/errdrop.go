@@ -30,6 +30,7 @@ func DefaultErrDropConfig() ErrDropConfig {
 		{PkgPath: "nwade/internal/chain", Recv: "", Name: "Package"},
 		{PkgPath: "nwade/internal/chain", Recv: "Chain", Name: "Append"},
 		{PkgPath: "nwade/internal/chain", Recv: "Chain", Name: "Prepend"},
+		{PkgPath: "nwade/internal/chain", Recv: "Chain", Name: "CheckContent"},
 		{PkgPath: "nwade/internal/chain", Recv: "", Name: "VerifySignature"},
 		{PkgPath: "nwade/internal/chain", Recv: "", Name: "VerifyRoot"},
 		{PkgPath: "nwade/internal/chain", Recv: "", Name: "VerifyLink"},

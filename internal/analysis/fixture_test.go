@@ -122,6 +122,18 @@ func TestHotAllocFixture(t *testing.T) {
 	})})
 }
 
+func TestHotAllocListedNamesFixture(t *testing.T) {
+	// Scoped by PkgPath and by PkgFunctions in turn: either way the
+	// listed ghost, which the fixture does not declare, is reported.
+	const pkg = fixturePath + "hotallocnames"
+	for _, cfg := range []HotAllocConfig{
+		{PkgPath: pkg, Functions: []string{"tick", "ghost"}},
+		{PkgFunctions: map[string][]string{pkg: {"tick", "ghost"}}},
+	} {
+		runFixture(t, "hotallocnames", []*Analyzer{NewHotAlloc(cfg)})
+	}
+}
+
 // fixturePath is the import-path prefix of the fixture packages.
 const fixturePath = "nwade/internal/analysis/testdata/src/"
 

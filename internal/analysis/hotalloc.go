@@ -3,12 +3,14 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 )
 
 // HotAllocConfig tunes the hotalloc analyzer.
 type HotAllocConfig struct {
 	// PkgPath restricts the rule to one import path ("" = every package,
-	// used by the fixture tests).
+	// used by the fixture tests). With PkgPath or PkgFunctions set, a
+	// listed name that its package does not declare is itself a finding.
 	PkgPath string
 	// Functions names the per-tick functions and methods whose bodies —
 	// including closures defined inside them — must not allocate.
@@ -31,8 +33,7 @@ func DefaultHotAllocConfig() HotAllocConfig {
 		Functions: []string{
 			// Engine tick phases.
 			"step", "reindex", "spawn", "spawnBlocked",
-			"deliver", "verifyBlocks", "carries",
-			"plainHandle", "dispatch", "tickIM", "tickVehicles",
+			"deliver", "plainHandle", "dispatch", "tickIM", "tickVehicles",
 			"sense", "senseScan",
 			"physics", "move", "legacyMove", "boxClearFor",
 			"obstacleAhead", "leaderGap", "violate", "collisions",
@@ -65,40 +66,45 @@ func DefaultHotAllocConfig() HotAllocConfig {
 // allocation: either hoist it or annotate the line with
 // //lint:ignore hotalloc <reason>.
 func NewHotAlloc(cfg HotAllocConfig) *Analyzer {
-	toSet := func(fns []string) map[string]bool {
-		s := make(map[string]bool, len(fns))
-		for _, f := range fns {
-			s[f] = true
-		}
-		return s
-	}
-	base := toSet(cfg.Functions)
-	hotByPkg := make(map[string]map[string]bool, 1+len(cfg.PkgFunctions))
+	lists := make(map[string][]string, 1+len(cfg.PkgFunctions))
 	if cfg.PkgPath != "" {
-		hotByPkg[cfg.PkgPath] = base
+		lists[cfg.PkgPath] = cfg.Functions
 	}
 	for p, fns := range cfg.PkgFunctions {
-		hotByPkg[p] = toSet(fns)
+		lists[p] = fns
 	}
 	a := &Analyzer{
 		Name: "hotalloc",
 		Doc:  "flags non-hoisted make/append in per-tick engine functions",
 	}
 	a.Run = func(pass *Pass) {
-		hot := hotByPkg[pass.Pkg.Path]
-		if hot == nil {
-			if cfg.PkgPath != "" || len(cfg.PkgFunctions) > 0 {
+		list, scoped := lists[pass.Pkg.Path]
+		if !scoped {
+			if len(lists) > 0 {
 				return
 			}
-			hot = base // fixture mode: every package uses the flat list
+			list = cfg.Functions // fixture mode: every package uses the flat list
 		}
+		declared := make(map[string]bool)
 		for _, f := range pass.Pkg.Files {
 			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil || !hot[fn.Name.Name] {
-					continue
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					declared[fn.Name.Name] = true
+					if fn.Body != nil && slices.Contains(list, fn.Name.Name) {
+						checkHotFunc(pass, fn)
+					}
 				}
-				checkHotFunc(pass, fn)
+			}
+		}
+		if !scoped {
+			return
+		}
+		// A listed name the package does not declare is a deleted or
+		// renamed function whose successor goes unchecked.
+		for _, name := range list {
+			if !declared[name] {
+				pass.Reportf(pass.Pkg.Files[0].Pos(),
+					"hot function %s is not declared in package %s; update the hotalloc function list", name, pass.Pkg.Path)
 			}
 		}
 	}

@@ -4,6 +4,7 @@
 package errdrop
 
 import (
+	"crypto/rsa"
 	"encoding/json"
 	"os"
 
@@ -15,11 +16,11 @@ import (
 )
 
 // dropped uses must-check calls as bare statements.
-func dropped(c *chain.Chain, b *chain.Block) {
-	c.Append(b)                             // want "error result of nwade/internal/chain\.Chain\.Append discarded"
-	json.Marshal(b)                         // want "error result of encoding/json\.Marshal discarded"
-	os.WriteFile("x", nil, 0o644)           // want "error result of os\.WriteFile discarded"
-	chain.VerifySignature(c.PublicKey(), b) // want "error result of nwade/internal/chain\.VerifySignature discarded"
+func dropped(c *chain.Chain, b *chain.Block, pub *rsa.PublicKey) {
+	c.Append(b)                   // want "error result of nwade/internal/chain\.Chain\.Append discarded"
+	json.Marshal(b)               // want "error result of encoding/json\.Marshal discarded"
+	os.WriteFile("x", nil, 0o644) // want "error result of os\.WriteFile discarded"
+	chain.VerifySignature(pub, b) // want "error result of nwade/internal/chain\.VerifySignature discarded"
 }
 
 // deferred discards through defer and go statements.

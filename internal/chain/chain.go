@@ -15,8 +15,8 @@ import (
 type Chain struct {
 	pub *rsa.PublicKey
 	// verdicts, when set, vouches for the signature and Merkle root of
-	// the blocks it passed (Verdicts.NewChain); nil means every block is
-	// checked in full.
+	// the blocks it passed and records the ones this view passes
+	// (Verdicts.NewChain); nil means every block is checked in full.
 	verdicts *Verdicts
 	blocks   []*Block
 	// ids and newest index each vehicle's newest plan in the window:
@@ -46,15 +46,6 @@ var ErrUnknownBlock = errors.New("chain: block not in cache")
 
 // ErrCacheFull is returned by Prepend when the cache window is exhausted.
 var ErrCacheFull = errors.New("chain: cache full")
-
-// PublicKey returns the verification key this chain view checks blocks
-// against.
-func (c *Chain) PublicKey() *rsa.PublicKey { return c.pub }
-
-// Verified reports whether the chain's verdict table vouches for b's
-// signature and Merkle root (Verdicts.Passed). A chain without a table
-// vouches for nothing.
-func (c *Chain) Verified(b *Block) bool { return c.verdicts.Passed(b) }
 
 // Len returns the number of cached blocks.
 func (c *Chain) Len() int { return len(c.blocks) }
@@ -86,16 +77,36 @@ func (c *Chain) BySeq(seq uint64) (*Block, error) {
 	return nil, fmt.Errorf("%w: seq %d", ErrUnknownBlock, seq)
 }
 
-// Append verifies a block against the chain and appends it: signature,
-// Merkle root, and linkage to the current head (Algorithm 1 steps i and
-// iii; the plan-conflict step lives in the nwade package because it needs
-// the intersection's conflict table). A gap in sequence numbers after
-// pruning is accepted when the vehicle has pruned the predecessor.
-func (c *Chain) Append(b *Block) error {
+// CheckContent checks b's signature and Merkle root (Algorithm 1 step
+// i and the root check) unless the chain's verdict table passed b. A
+// pass is recorded in the table, so the other chain views reading it
+// skip both checks; a failure is not, so each view checks such a block
+// itself and reaches its own rejection. ran reports whether the checks
+// ran.
+func (c *Chain) CheckContent(b *Block) (ran bool, err error) {
+	if c.verdicts.Passed(b) {
+		return false, nil
+	}
 	if err := VerifySignature(c.pub, b); err != nil {
-		return err
+		return true, err
 	}
 	if err := VerifyRoot(b); err != nil {
+		return true, err
+	}
+	if c.verdicts != nil {
+		c.verdicts.passed[b] = b.HashBlock()
+	}
+	return true, nil
+}
+
+// Append verifies a block against the chain and appends it: signature,
+// Merkle root (CheckContent), and linkage to the current head (Algorithm
+// 1 steps i and iii; the plan-conflict step lives in the nwade package
+// because it needs the intersection's conflict table). A gap in sequence
+// numbers after pruning is accepted when the vehicle has pruned the
+// predecessor.
+func (c *Chain) Append(b *Block) error {
+	if _, err := c.CheckContent(b); err != nil {
 		return err
 	}
 	head := c.Head()
@@ -136,16 +147,10 @@ func (c *Chain) AppendVerified(b *Block) error {
 // back-fill the plans of vehicles that entered earlier: the forward link
 // (b.HashBlock() == oldest.PrevHash) proves the fetched block is the
 // authentic predecessor even when it came from an untrusted peer. The
-// signature and root checks are skipped when the chain's verdict table
-// passed b.
+// signature and root go through CheckContent.
 func (c *Chain) Prepend(b *Block) error {
-	if !c.Verified(b) {
-		if err := VerifySignature(c.pub, b); err != nil {
-			return err
-		}
-		if err := VerifyRoot(b); err != nil {
-			return err
-		}
+	if _, err := c.CheckContent(b); err != nil {
+		return err
 	}
 	if len(c.blocks) > 0 {
 		if err := VerifyLink(b, c.blocks[0]); err != nil {

@@ -17,11 +17,14 @@ func TestVerdictsPassOnlyTheVerifiedBlock(t *testing.T) {
 	if v.Passed(b) {
 		t.Fatal("empty table passed a block")
 	}
-	if err := v.Verify(b); err != nil {
-		t.Fatalf("Verify(honest block): %v", err)
+	if ran, err := v.NewChain(0).CheckContent(b); !ran || err != nil {
+		t.Fatalf("CheckContent(honest block) = %v, %v; want a check that passes", ran, err)
 	}
 	if !v.Passed(b) {
 		t.Fatal("verified block not passed")
+	}
+	if ran, err := v.NewChain(0).CheckContent(b); ran || err != nil {
+		t.Errorf("another view's CheckContent(passed block) = %v, %v; want no check", ran, err)
 	}
 	if cp := *b; v.Passed(&cp) {
 		t.Error("an identical copy of a passed block counts as passed")
@@ -30,15 +33,17 @@ func TestVerdictsPassOnlyTheVerifiedBlock(t *testing.T) {
 	if v.Passed(b) {
 		t.Error("a passed block whose signature changed in place is still passed")
 	}
-	if err := v.Verify(b); !errors.Is(err, ErrBadSignature) {
-		t.Errorf("Verify(flipped signature) = %v, want ErrBadSignature", err)
+	if ran, err := v.NewChain(0).CheckContent(b); !ran || !errors.Is(err, ErrBadSignature) {
+		t.Errorf("CheckContent(flipped signature) = %v, %v; want a check failing with ErrBadSignature", ran, err)
 	}
 	b.Sig[0] ^= 0xFF
-	if v.Passed(b) {
-		t.Error("a failed verification left the block recorded")
-	}
 	if (*Verdicts)(nil).Passed(b) {
 		t.Error("a nil table passed a block")
+	}
+	for i := 0; i < 2; i++ {
+		if ran, err := NewChain(s.Public(), 0).CheckContent(b); !ran || err != nil {
+			t.Errorf("a view without a table: CheckContent = %v, %v; want a check that passes", ran, err)
+		}
 	}
 }
 
@@ -49,8 +54,8 @@ func TestVerdictsRejectTamperedRoot(t *testing.T) {
 	moved.Plans = slices.Clone(moved.Plans)
 	moved.Plans[0] = moved.Plans[0].Clone()
 	moved.Plans[0].Waypoints[1].S += 1
-	if err := v.Verify(&moved); !errors.Is(err, ErrBadRoot) {
-		t.Fatalf("Verify(moved waypoint) = %v, want ErrBadRoot", err)
+	if _, err := v.NewChain(0).CheckContent(&moved); !errors.Is(err, ErrBadRoot) {
+		t.Fatalf("CheckContent(moved waypoint) = %v, want ErrBadRoot", err)
 	}
 	if v.Passed(&moved) {
 		t.Error("a block that failed its root check was recorded")
@@ -63,7 +68,7 @@ func TestChainPrependTrustsTable(t *testing.T) {
 	s, blocks := buildChain(t, 3)
 	v := NewVerdicts(s.Public())
 	for _, b := range blocks {
-		if err := v.Verify(b); err != nil {
+		if _, err := v.NewChain(0).CheckContent(b); err != nil {
 			t.Fatal(err)
 		}
 	}

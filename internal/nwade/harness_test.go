@@ -1,6 +1,7 @@
 package nwade
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -39,11 +40,13 @@ func fixtures(t testing.TB) (*chain.Signer, *intersection.Intersection) {
 
 // bus is a miniature synchronous network for protocol tests: it routes
 // Out messages between one IMCore and a set of VehicleCores with a fixed
-// latency, collecting events.
+// latency, collecting events. Cars receive and tick in ascending ID
+// order, so a run is reproducible.
 type bus struct {
 	t       *testing.T
 	im      *IMCore
 	cars    map[plan.VehicleID]*VehicleCore
+	ids     []plan.VehicleID // the keys of cars, ascending
 	lat     time.Duration
 	pending []timed
 	events  []Event
@@ -59,7 +62,9 @@ func newBus(t *testing.T, im *IMCore, cars ...*VehicleCore) *bus {
 	b := &bus{t: t, im: im, cars: map[plan.VehicleID]*VehicleCore{}, lat: 30 * time.Millisecond}
 	for _, c := range cars {
 		b.cars[c.id] = c
+		b.ids = append(b.ids, c.id)
 	}
+	slices.Sort(b.ids)
 	return b
 }
 
@@ -103,11 +108,11 @@ func (b *bus) dispatch(now time.Duration, due []timed) {
 			if tm.from != vnet.IMNode {
 				b.send(now, vnet.IMNode, b.im.HandleMessage(now, msg))
 			}
-			for id, c := range b.cars {
+			for _, id := range b.ids {
 				if vnet.VehicleNode(uint64(id)) == tm.from {
 					continue
 				}
-				b.send(now, vnet.VehicleNode(uint64(id)), c.HandleMessage(now, msg))
+				b.send(now, vnet.VehicleNode(uint64(id)), b.cars[id].HandleMessage(now, msg))
 			}
 			continue
 		}
@@ -115,9 +120,9 @@ func (b *bus) dispatch(now time.Duration, due []timed) {
 			b.send(now, vnet.IMNode, b.im.HandleMessage(now, msg))
 			continue
 		}
-		for id, c := range b.cars {
+		for _, id := range b.ids {
 			if vnet.VehicleNode(uint64(id)) == tm.out.To {
-				b.send(now, vnet.VehicleNode(uint64(id)), c.HandleMessage(now, msg))
+				b.send(now, vnet.VehicleNode(uint64(id)), b.cars[id].HandleMessage(now, msg))
 			}
 		}
 	}

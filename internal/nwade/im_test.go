@@ -1,6 +1,7 @@
 package nwade
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func pump(b *bus, from, to, step time.Duration,
 			vis = visible(now)
 		}
 		b.send(now, vnet.IMNode, b.im.Tick(now, vis))
-		for id, c := range b.cars {
+		for _, id := range b.ids {
 			var st plan.Status
 			if selfStatus != nil {
 				st = selfStatus(id, now)
@@ -32,7 +33,7 @@ func pump(b *bus, from, to, step time.Duration,
 			if neighbors != nil {
 				nb = neighbors(id, now)
 			}
-			b.send(now, vnet.VehicleNode(uint64(id)), c.Tick(now, st, nb))
+			b.send(now, vnet.VehicleNode(uint64(id)), b.cars[id].Tick(now, st, nb))
 		}
 	}
 }
@@ -102,14 +103,14 @@ func TestIMDirectCheckConfirmsRealViolation(t *testing.T) {
 	}
 	visible := func(now time.Duration) []VehicleObs {
 		var out []VehicleObs
-		for id := range b.cars {
+		for _, id := range b.ids {
 			out = append(out, VehicleObs{ID: id, Status: truth(id, now)})
 		}
 		return out
 	}
 	neighbors := func(id plan.VehicleID, now time.Duration) []Neighbor {
 		var out []Neighbor
-		for other := range b.cars {
+		for _, other := range b.ids {
 			if other != id {
 				out = append(out, Neighbor{ID: other, Status: truth(other, now)})
 			}
@@ -141,6 +142,59 @@ func TestIMDirectCheckConfirmsRealViolation(t *testing.T) {
 	}
 }
 
+// TestBusRunsAreReproducible runs one three-car scenario — a watcher, a
+// speeding violator the IM confirms and evacuates, and a bystander — 20
+// times in one process: every run must log the same events in the same
+// order.
+func TestBusRunsAreReproducible(t *testing.T) {
+	_, in := fixtures(t)
+	run := func() []Event {
+		var b *bus
+		sink := func(e Event) { b.events = append(b.events, e) }
+		b = newBus(t, mkIM(t, sink, nil),
+			mkCar(t, 1, in.RoutesFromLeg(0, 2)[0], sink, nil, 0),
+			mkCar(t, 2, in.RoutesFromLeg(2, 2)[0], sink, &VehicleMalice{ViolateAt: 4 * time.Second, Violation: ViolationSpeeding}, 0),
+			mkCar(t, 3, in.RoutesFromLeg(1, 2)[0], sink, nil, 0))
+		truth := func(id plan.VehicleID, now time.Duration) plan.Status {
+			c := b.cars[id]
+			if c.Plan() == nil {
+				return plan.Status{At: now}
+			}
+			if m := c.Malice(); m != nil && now >= m.ViolateAt {
+				return statusOn(c.Plan(), c.Route(), now, geom.V(0, 6), 12)
+			}
+			return statusOn(c.Plan(), c.Route(), now, geom.V(0, 0), 0)
+		}
+		visible := func(now time.Duration) []VehicleObs {
+			var out []VehicleObs
+			for _, id := range b.ids {
+				out = append(out, VehicleObs{ID: id, Status: truth(id, now)})
+			}
+			return out
+		}
+		neighbors := func(id plan.VehicleID, now time.Duration) []Neighbor {
+			var out []Neighbor
+			for _, other := range b.ids {
+				if other != id {
+					out = append(out, Neighbor{ID: other, Status: truth(other, now)})
+				}
+			}
+			return out
+		}
+		pump(b, 0, 8*time.Second, 100*time.Millisecond, visible, truth, neighbors)
+		return b.events
+	}
+	first := run()
+	if len(first) == 0 {
+		t.Fatal("the scenario logged no events")
+	}
+	for i := 1; i < 20; i++ {
+		if got := run(); !slices.Equal(got, first) {
+			t.Fatalf("run %d logged %d events that differ from the first run's %d", i+1, len(got), len(first))
+		}
+	}
+}
+
 func TestIMDismissesFalseReportByDirectCheck(t *testing.T) {
 	_, in := fixtures(t)
 	var b *bus
@@ -161,14 +215,14 @@ func TestIMDismissesFalseReportByDirectCheck(t *testing.T) {
 	}
 	visible := func(now time.Duration) []VehicleObs {
 		var out []VehicleObs
-		for id := range b.cars {
+		for _, id := range b.ids {
 			out = append(out, VehicleObs{ID: id, Status: truth(id, now)})
 		}
 		return out
 	}
 	neighbors := func(id plan.VehicleID, now time.Duration) []Neighbor {
 		var out []Neighbor
-		for other := range b.cars {
+		for _, other := range b.ids {
 			if other != id {
 				out = append(out, Neighbor{ID: other, Status: truth(other, now)})
 			}
@@ -223,7 +277,7 @@ func TestIMVotingColludersWinRound1ButRound2Recovers(t *testing.T) {
 	}
 	neighbors := func(id plan.VehicleID, now time.Duration) []Neighbor {
 		var out []Neighbor
-		for other := range b.cars {
+		for _, other := range b.ids {
 			if other != id {
 				out = append(out, Neighbor{ID: other, Status: truth(other, now)})
 			}
@@ -279,7 +333,7 @@ func TestIMUnresponsiveTriggersSelfEvacAndGlobal(t *testing.T) {
 	}
 	neighbors := func(id plan.VehicleID, now time.Duration) []Neighbor {
 		var out []Neighbor
-		for other := range b.cars {
+		for _, other := range b.ids {
 			if other != id {
 				out = append(out, Neighbor{ID: other, Status: truth(other, now)})
 			}
@@ -377,7 +431,7 @@ func TestEvacuationAndRecoveryLifecycle(t *testing.T) {
 	}
 	visible := func(now time.Duration) []VehicleObs {
 		var out []VehicleObs
-		for id := range b.cars {
+		for _, id := range b.ids {
 			if id == 2 && violatorGone {
 				continue
 			}
@@ -387,7 +441,7 @@ func TestEvacuationAndRecoveryLifecycle(t *testing.T) {
 	}
 	neighbors := func(id plan.VehicleID, now time.Duration) []Neighbor {
 		var out []Neighbor
-		for other := range b.cars {
+		for _, other := range b.ids {
 			if other != id {
 				if other == 2 && violatorGone {
 					continue
@@ -434,7 +488,7 @@ func TestShamEvacuationDetectedByWatchers(t *testing.T) {
 	}
 	neighbors := func(id plan.VehicleID, now time.Duration) []Neighbor {
 		var out []Neighbor
-		for other := range b.cars {
+		for _, other := range b.ids {
 			if other != id {
 				out = append(out, Neighbor{ID: other, Status: truth(other, now)})
 			}

@@ -179,21 +179,6 @@ const (
 	sizeBlockReq   = 24
 )
 
-// BlockIn returns the block a message carries — a broadcast block, a
-// block-request response or an evacuation alert's block — or nil for any
-// other message.
-func BlockIn(msg vnet.Message) *chain.Block {
-	switch p := msg.Payload.(type) {
-	case BlockMsg:
-		return p.Block
-	case BlockRespMsg:
-		return p.Block
-	case EvacuationAlert:
-		return p.Block
-	}
-	return nil
-}
-
 // SizeOfBlock estimates a block's wire size.
 func SizeOfBlock(b *chain.Block) int {
 	if b == nil {

@@ -416,15 +416,8 @@ func (vc *VehicleCore) handleBlock(now time.Duration, b *chain.Block, evacuation
 func (vc *VehicleCore) processBlock(now time.Duration, b *chain.Block, evacuation bool) []Out {
 	prevState := vc.auto.State()
 	_ = vc.auto.To(VBlockVerify)
-	err := verifyBlockObs(vc.cache, vc.chk, b, vc.knownSuspects, vc.table, now, vc.obs)
-	if err != nil {
-		vc.obs.Inc(obspkg.CntBlocksRejected)
-		vc.sink.emit(Event{At: now, Type: EvBlockRejected, Actor: vc.id, Info: err.Error()})
-		reason := ReasonBadBlock
-		if errors.Is(err, ErrConflictingPlans) {
-			reason = ReasonConflictingPlans
-		}
-		return vc.enterSelfEvac(now, reason, b.Seq, 0)
+	if err := verifyBlockObs(vc.cache, vc.chk, b, vc.knownSuspects, vc.table, now, vc.obs); err != nil {
+		return vc.rejectBlock(now, b, err)
 	}
 	vc.obs.Inc(obspkg.CntBlocksVerified)
 	vc.sink.emit(Event{At: now, Type: EvBlockAccepted, Actor: vc.id, Info: fmt.Sprintf("seq %d", b.Seq)})
@@ -471,6 +464,19 @@ func (vc *VehicleCore) processBlock(now time.Duration, b *chain.Block, evacuatio
 	return outs
 }
 
+// rejectBlock handles a block that failed verification — Algorithm 1,
+// the re-check of a globally reported block, or back-fill: it logs and
+// counts the rejection and self-evacuates, reporting the block.
+func (vc *VehicleCore) rejectBlock(now time.Duration, b *chain.Block, err error) []Out {
+	vc.obs.Inc(obspkg.CntBlocksRejected)
+	vc.sink.emit(Event{At: now, Type: EvBlockRejected, Actor: vc.id, Info: err.Error()})
+	reason := ReasonBadBlock
+	if errors.Is(err, ErrConflictingPlans) {
+		reason = ReasonConflictingPlans
+	}
+	return vc.enterSelfEvac(now, reason, b.Seq, 0)
+}
+
 // handleBlockResp verifies a fetched block: older blocks are prepended,
 // in-sequence blocks appended, and blocks fetched for global
 // verification are re-checked for conflicts.
@@ -483,15 +489,10 @@ func (vc *VehicleCore) handleBlockResp(now time.Duration, b *chain.Block) []Out 
 	wanted := vc.pendingBlocks[b.Seq]
 	delete(vc.pendingBlocks, b.Seq)
 	// Re-verify content for globally reported blocks regardless of
-	// cache placement.
+	// cache placement: steps i and ii, which need no cached neighbor.
 	if wanted {
-		if err := vc.recheckBlock(b); err != nil {
-			vc.sink.emit(Event{At: now, Type: EvBlockRejected, Actor: vc.id, Info: err.Error()})
-			reason := ReasonBadBlock
-			if errors.Is(err, ErrConflictingPlans) {
-				reason = ReasonConflictingPlans
-			}
-			return vc.enterSelfEvac(now, reason, b.Seq, 0)
+		if err := checkBlock(vc.cache, vc.chk, b, nil, vc.obs); err != nil {
+			return vc.rejectBlock(now, b, err)
 		}
 		// The reported block is fine: the global report was malicious.
 		vc.sink.emit(Event{At: now, Type: EvGlobalRefuted, Actor: vc.id, Info: fmt.Sprintf("block %d verified clean", b.Seq)})
@@ -502,29 +503,20 @@ func (vc *VehicleCore) handleBlockResp(now time.Duration, b *chain.Block) []Out 
 	case head == nil || b.Seq == head.Seq+1:
 		return vc.handleBlock(now, b, false)
 	case vc.cache.Len() > 0 && b.Seq+1 == vc.oldestSeq():
-		if err := vc.cache.Prepend(b); err != nil {
-			vc.sink.emit(Event{At: now, Type: EvBlockRejected, Actor: vc.id, Info: err.Error()})
-			return vc.enterSelfEvac(now, ReasonBadBlock, b.Seq, 0)
+		// The counted check records a pass, so Prepend does not repeat
+		// the RSA work.
+		err := checkContent(vc.cache, b, vc.obs)
+		if err == nil {
+			err = vc.cache.Prepend(b)
+		}
+		if err != nil {
+			return vc.rejectBlock(now, b, err)
 		}
 		vc.sink.emit(Event{At: now, Type: EvBlockAccepted, Actor: vc.id, Info: fmt.Sprintf("back-fill seq %d", b.Seq)})
 	case vc.resilient() && b.Seq > head.Seq+1:
 		// Gap responses arriving out of order: hold until the gap below
 		// them fills.
 		return vc.deferBlock(now, b, false, head.Seq)
-	}
-	return nil
-}
-
-// recheckBlock verifies a block's signature, root and internal plan
-// consistency without touching the cache (used for blocks named in
-// global reports).
-func (vc *VehicleCore) recheckBlock(b *chain.Block) error {
-	if err := checkContent(vc.cache, b, vc.obs); err != nil {
-		return err
-	}
-	vc.obs.Inc(obspkg.CntConflictChecks)
-	if cs := vc.chk.CheckAll(b.Plans, nil); len(cs) > 0 {
-		return fmt.Errorf("%w: %v", ErrConflictingPlans, cs[0])
 	}
 	return nil
 }

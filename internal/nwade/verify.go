@@ -114,8 +114,8 @@ func CheckAttack(p *plan.TravelPlan, r *intersection.Route, obs plan.Status, tol
 var ErrConflictingPlans = errors.New("nwade: block contains conflicting travel plans")
 
 // VerifyBlock is Algorithm 1. It checks, in order: the block signature
-// with K_u (step i), internal plan conflicts (step ii), linkage to the
-// cached chain (step iii), and conflicts against plans in previously
+// with K_u (step i), linkage to the cached chain (step iii), internal
+// plan conflicts (step ii), and conflicts against plans in previously
 // cached blocks (step iv). On success the block is appended to the cache.
 //
 // exclude lists vehicles whose cached plans are no longer authoritative —
@@ -133,22 +133,8 @@ func VerifyBlock(c *chain.Chain, checker *plan.ConflictChecker, b *chain.Block, 
 // counter; a nil table proves nothing.
 func verifyBlockObs(c *chain.Chain, checker *plan.ConflictChecker, b *chain.Block, exclude map[plan.VehicleID]bool,
 	tt *TickTable, now time.Duration, o *obspkg.Sink) error {
-	// Steps i and iii are enforced by the chain cache (signature, root,
-	// link); do the cheap cryptographic checks before the plan math.
-	head := c.Head()
-	if err := checkContent(c, b, o); err != nil {
+	if err := checkBlock(c, checker, b, c.Head(), o); err != nil {
 		return err
-	}
-	if head != nil {
-		o.Inc(obspkg.CntLinkChecks)
-		if err := chain.VerifyLink(head, b); err != nil {
-			return err
-		}
-	}
-	// Step ii: internal consistency of the new plans.
-	o.Inc(obspkg.CntConflictChecks)
-	if cs := checker.CheckAll(b.Plans, nil); len(cs) > 0 {
-		return fmt.Errorf("%w: %v", ErrConflictingPlans, cs[0])
 	}
 	// Step iv: consistency against the cached window. A vehicle's plan
 	// in the new block supersedes its older plans (rescheduling,
@@ -179,17 +165,36 @@ func verifyBlockObs(c *chain.Chain, checker *plan.ConflictChecker, b *chain.Bloc
 	return c.AppendVerified(b)
 }
 
-// checkContent is Algorithm 1 step i plus the Merkle-root check, each
-// counted when it runs. A block the chain's verdict table passed skips
-// both: every receiver would reach the table's verdict.
-func checkContent(c *chain.Chain, b *chain.Block, o *obspkg.Sink) error {
-	if c.Verified(b) {
-		return nil
-	}
-	o.Inc(obspkg.CntSigChecks)
-	if err := chain.VerifySignature(c.PublicKey(), b); err != nil {
+// checkBlock is Algorithm 1 up to the cached window: the signature and
+// Merkle root (step i), the link to head when there is one (step iii),
+// and the consistency of b's own plans (step ii). The cheap
+// cryptographic checks run before the plan math.
+func checkBlock(c *chain.Chain, checker *plan.ConflictChecker, b, head *chain.Block, o *obspkg.Sink) error {
+	if err := checkContent(c, b, o); err != nil {
 		return err
 	}
-	o.Inc(obspkg.CntMerkleChecks)
-	return chain.VerifyRoot(b)
+	if head != nil {
+		o.Inc(obspkg.CntLinkChecks)
+		if err := chain.VerifyLink(head, b); err != nil {
+			return err
+		}
+	}
+	o.Inc(obspkg.CntConflictChecks)
+	if cs := checker.CheckAll(b.Plans, nil); len(cs) > 0 {
+		return fmt.Errorf("%w: %v", ErrConflictingPlans, cs[0])
+	}
+	return nil
+}
+
+// checkContent is the chain view's CheckContent with the signature and
+// Merkle-root checks each counted when it runs.
+func checkContent(c *chain.Chain, b *chain.Block, o *obspkg.Sink) error {
+	ran, err := c.CheckContent(b)
+	if ran {
+		o.Inc(obspkg.CntSigChecks)
+		if !errors.Is(err, chain.ErrBadSignature) {
+			o.Inc(obspkg.CntMerkleChecks)
+		}
+	}
+	return err
 }

@@ -38,6 +38,16 @@ const gatewayIDBase = uint64(1) << 40
 // per-region stream (regions use Seed + 1000*i, engines derive +1/+2).
 const backboneSeedOffset = 999983
 
+// The cross-region exchange: every exchangeEvery the regions beacon
+// their chain heads and gossip newly confirmed suspects to their
+// neighbors, and a vehicle that leaves a region on a linked leg enters
+// the neighbor linkDelay later. A cross report travels at most the
+// topology's diameter in hops.
+const (
+	exchangeEvery = time.Second
+	linkDelay     = 2 * time.Second
+)
+
 // KindHeadBeacon and KindCrossReport are the backbone message kinds.
 const (
 	KindHeadBeacon  = "head-beacon"
@@ -217,17 +227,13 @@ func build(cfg sim.Scenario) (*Network, []sim.Scenario, error) {
 	if cfg.AttackRegion < 0 || cfg.AttackRegion >= len(topo.Regions) {
 		return nil, nil, fmt.Errorf("roadnet: attack region %d out of range [0,%d)", cfg.AttackRegion, len(topo.Regions))
 	}
-	ttl := cfg.ReportTTL
-	if ttl <= 0 {
-		ttl = topo.Diameter()
-	}
 	n := &Network{
 		cfg:     cfg,
 		topo:    topo,
 		byNode:  make(map[vnet.NodeID]int, len(topo.Regions)),
 		back:    vnet.New(vnet.Config{Latency: cfg.Net.Latency}, cfg.Seed+backboneSeedOffset, nil),
 		workers: cfg.Workers,
-		ttl:     ttl,
+		ttl:     topo.Diameter(),
 	}
 	scens := make([]sim.Scenario, len(topo.Regions))
 	for i, reg := range topo.Regions {
@@ -520,7 +526,7 @@ func (n *Network) handoffs() {
 				speed = 5
 			}
 			n.regs[lk.To].eng.InjectArrival(traffic.Arrival{
-				At:      n.now + n.cfg.LinkDelay,
+				At:      n.now + linkDelay,
 				Vehicle: x.Vehicle,
 				Route:   rt,
 				Speed:   speed,
@@ -536,11 +542,7 @@ func (n *Network) handoffs() {
 // beaconDue reports whether this tick crossed an exchange boundary.
 // Pure function of the clock, so restore needs no extra state.
 func (n *Network) beaconDue() bool {
-	every := n.cfg.ExchangeEvery
-	if every <= 0 {
-		return false
-	}
-	return n.now/every > (n.now-n.cfg.Step)/every
+	return n.now/exchangeEvery > (n.now-n.cfg.Step)/exchangeEvery
 }
 
 // beacon runs one exchange round: every region (in index order)

@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -104,15 +103,6 @@ type Scenario struct {
 	// steady-state benchmarks to close the system after a warm-up.
 	SpawnCutoff time.Duration
 
-	// ExchangeEvery is the cadence of the cross-intersection head-
-	// exchange beacons on the backbone (network scenarios; default 1s).
-	ExchangeEvery time.Duration
-	// LinkDelay is the travel time across a directed link between two
-	// adjacent regions (network scenarios; default 2s).
-	LinkDelay time.Duration
-	// ReportTTL bounds how many hops a cross-intersection attack report
-	// is gossiped (network scenarios; default: the network diameter).
-	ReportTTL int
 	// AdvisoryReports is how many distinct advisory global reports a
 	// region's gateway injects locally when a cross-intersection report
 	// arrives (network scenarios; default 1). Raising it to the vehicle
@@ -156,16 +146,8 @@ func (c Scenario) Normalize() Scenario {
 	if c.Inter == nil && c.Intersection == "" {
 		c.Intersection = "cross4"
 	}
-	if c.IsNetwork() {
-		if c.ExchangeEvery <= 0 {
-			c.ExchangeEvery = time.Second
-		}
-		if c.LinkDelay <= 0 {
-			c.LinkDelay = 2 * time.Second
-		}
-		if c.AdvisoryReports <= 0 {
-			c.AdvisoryReports = 1
-		}
+	if c.IsNetwork() && c.AdvisoryReports <= 0 {
+		c.AdvisoryReports = 1
 	}
 	if c.Step <= 0 {
 		c.Step = units.SimStep
@@ -373,8 +355,8 @@ type Engine struct {
 	now time.Duration
 
 	// verdicts is the intersection's block verdict table, shared by
-	// every vehicle's chain view. Only deliver's pre-pass writes it;
-	// handlers only read it.
+	// every vehicle's chain view: the first view to pass a block's
+	// signature and root check records it.
 	verdicts *chain.Verdicts
 	// table is the intersection's tick table: the watch verdicts and
 	// block conflict proofs its vehicles share within a tick. The
@@ -875,9 +857,6 @@ func (e *Engine) activateAttack(now time.Duration) {
 func (e *Engine) deliver(now time.Duration) int {
 	due := e.net.PollInto(now, e.pollBuf[:0])
 	e.pollBuf = due
-	if e.cfg.NWADE {
-		e.verifyBlocks(due)
-	}
 	for _, d := range due {
 		if d.To == vnet.IMNode {
 			e.dispatch(now, vnet.IMNode, e.im.HandleMessage(now, d.Msg))
@@ -894,37 +873,6 @@ func (e *Engine) deliver(now time.Duration) int {
 		e.dispatch(now, d.To, b.core.HandleMessage(now, d.Msg))
 	}
 	return len(due)
-}
-
-// verifyBlocks is deliver's pre-pass: before any handler runs, it
-// checks the signature and Merkle root of each distinct block the due
-// messages carry, once, and records the blocks that pass in the verdict
-// table. Receivers then run only the per-vehicle steps of Algorithm 1 on
-// them; a block that fails is not recorded, so each receiver checks it
-// in full and reaches its own rejection.
-func (e *Engine) verifyBlocks(due []vnet.Delivery) {
-	for i, d := range due {
-		b := nwade.BlockIn(d.Msg)
-		if b == nil || e.verdicts.Passed(b) || carries(due[:i], b) {
-			continue
-		}
-		e.obs.Inc(obs.CntSigChecks)
-		if err := e.verdicts.Verify(b); !errors.Is(err, chain.ErrBadSignature) {
-			e.obs.Inc(obs.CntMerkleChecks)
-		}
-	}
-}
-
-// carries reports whether one of the deliveries carries block b. The
-// pre-pass asks only about blocks not in the table, so the scan runs
-// once per passing block and once per delivery of a failing one.
-func carries(due []vnet.Delivery, b *chain.Block) bool {
-	for _, d := range due {
-		if nwade.BlockIn(d.Msg) == b {
-			return true
-		}
-	}
-	return false
 }
 
 // plainHandle is the no-NWADE baseline: adopt plans without verification,

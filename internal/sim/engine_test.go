@@ -30,7 +30,7 @@ func testSigner(t testing.TB) *chain.Signer {
 	return key
 }
 
-func testEngine(t testing.TB, cfg Scenario) *Engine {
+func testEngine(t testing.TB, cfg Scenario, opts ...Option) *Engine {
 	t.Helper()
 	if cfg.Inter == nil {
 		in, err := intersection.Cross4(intersection.Config{}, 2)
@@ -40,7 +40,7 @@ func testEngine(t testing.TB, cfg Scenario) *Engine {
 		cfg.Inter = in
 	}
 	cfg.NWADE = true
-	e, err := New(cfg, WithSigner(testSigner(t)))
+	e, err := New(cfg, append(opts, WithSigner(testSigner(t)))...)
 	if err != nil {
 		t.Fatal(err)
 	}

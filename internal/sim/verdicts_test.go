@@ -10,6 +10,7 @@ import (
 	"nwade/internal/attack"
 	"nwade/internal/chain"
 	"nwade/internal/nwade"
+	"nwade/internal/obs"
 	"nwade/internal/plan"
 	"nwade/internal/vnet"
 )
@@ -163,5 +164,61 @@ func TestForgedBroadcastRejectedByEveryVehicle(t *testing.T) {
 		if e.verdicts.Passed(forged) {
 			t.Errorf("%s: the verdict table recorded the forged block", f.name)
 		}
+	}
+}
+
+// TestSignatureChecksPerBroadcast counts the signature checks a
+// broadcast costs the receiving intersection. An honest block is checked
+// once, by its first receiver, and the verdict table serves the rest. A
+// forged block, which the table never records, is checked once by each
+// of the N vehicles it reaches, and no more.
+func TestSignatureChecksPerBroadcast(t *testing.T) {
+	run := func(forge bool) (checks uint64, blocks, receivers int) {
+		sink := obs.New(obs.Options{})
+		e := testEngine(t, Scenario{Duration: time.Minute, RatePerMin: 80, Seed: 5,
+			Attack: attack.Benign()}, WithObs(sink))
+		stepTo(e, 25*time.Second)
+		before, packaged := sink.Counter(obs.CntSigChecks), len(e.IM().Blocks())
+		if forge {
+			forged := sigFlipped(e.IM().Head())
+			receivers = e.Net().BroadcastMsg(e.Now(), vnet.IMNode, nwade.KindBlock,
+				nwade.BlockMsg{Block: forged}, nwade.SizeOfBlock(forged))
+		}
+		stepTo(e, e.Now()+time.Second)
+		return sink.Counter(obs.CntSigChecks) - before, len(e.IM().Blocks()) - packaged, receivers
+	}
+	honest, blocks, _ := run(false)
+	if blocks == 0 || honest != uint64(blocks) {
+		t.Errorf("%d honest blocks cost %d signature checks, want one each", blocks, honest)
+	}
+	all, _, n := run(true)
+	if n == 0 || all-honest != uint64(n) {
+		t.Errorf("a forged block broadcast to %d vehicles cost %d signature checks, want %d", n, all-honest, n)
+	}
+}
+
+// TestBlocksRejectedCountsEveryRejection runs a compromised IM whose
+// vehicles reject its blocks by Algorithm 1 and, once, by re-checking a
+// globally reported block: the blocks-rejected counter must equal the
+// number of block-rejected events.
+func TestBlocksRejectedCountsEveryRejection(t *testing.T) {
+	sc, ok := attack.ByName("IM", 25*time.Second)
+	if !ok {
+		t.Fatal("unknown scenario IM")
+	}
+	sink := obs.New(obs.Options{})
+	e := testEngine(t, Scenario{Duration: time.Minute, RatePerMin: 80, Seed: 2, Attack: sc}, WithObs(sink))
+	e.Run()
+	events := 0
+	for _, ev := range e.Collector().Events() {
+		if ev.Type == nwade.EvBlockRejected {
+			events++
+		}
+	}
+	if events == 0 {
+		t.Fatal("the run rejected no block")
+	}
+	if got := sink.Counter(obs.CntBlocksRejected); got != uint64(events) {
+		t.Errorf("blocks-rejected reads %d, the run logged %d block-rejected events", got, events)
 	}
 }

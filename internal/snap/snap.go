@@ -68,12 +68,12 @@ type Spec struct {
 	KeyBits        int
 	Net            vnet.Config
 
-	// Road-network exchange knobs (zero for single-intersection runs;
-	// sim.Scenario.Normalize fills network defaults).
-	ExchangeEvery   time.Duration `json:",omitempty"`
-	LinkDelay       time.Duration `json:",omitempty"`
-	ReportTTL       int           `json:",omitempty"`
-	AdvisoryReports int           `json:",omitempty"`
+	// AdvisoryReports is the road-network advisory count (zero for
+	// single-intersection runs; sim.Scenario.Normalize fills the
+	// network default). Files written before the exchange cadence, link
+	// delay and report TTL became roadnet constants also carry
+	// ExchangeEvery, LinkDelay and ReportTTL; decoding ignores them.
+	AdvisoryReports int `json:",omitempty"`
 }
 
 // IsNetwork reports whether the spec describes a road-network run.
@@ -113,9 +113,6 @@ func SpecFromScenario(cfg sim.Scenario) (Spec, error) {
 		Resilience:      cfg.Resilience,
 		KeyBits:         cfg.KeyBits,
 		Net:             cfg.Net,
-		ExchangeEvery:   cfg.ExchangeEvery,
-		LinkDelay:       cfg.LinkDelay,
-		ReportTTL:       cfg.ReportTTL,
 		AdvisoryReports: cfg.AdvisoryReports,
 	}, nil
 }
@@ -139,9 +136,6 @@ func (s Spec) Scenario() (sim.Scenario, error) {
 		Resilience:      s.Resilience,
 		KeyBits:         s.KeyBits,
 		Net:             s.Net,
-		ExchangeEvery:   s.ExchangeEvery,
-		LinkDelay:       s.LinkDelay,
-		ReportTTL:       s.ReportTTL,
 		AdvisoryReports: s.AdvisoryReports,
 	}
 	if !cfg.IsNetwork() && s.Intersection != "" {

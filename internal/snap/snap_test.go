@@ -2,6 +2,8 @@ package snap
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -177,6 +179,47 @@ func TestDecodeRejectsBadEnvelope(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestSpecWithExchangeKnobsLoads decodes a version-2 network checkpoint
+// whose spec still carries ExchangeEvery, LinkDelay and ReportTTL, as
+// files written before those became roadnet constants do: it loads to
+// the scenario of the same spec without them.
+func TestSpecWithExchangeKnobsLoads(t *testing.T) {
+	sc, ok := attack.ByName("V3", 10*time.Second)
+	if !ok {
+		t.Fatal("scenario V3 missing")
+	}
+	spec, err := SpecFromScenario(sim.Scenario{Network: "grid:2x2", Intersection: "mix",
+		Duration: 40 * time.Second, Seed: 7, Attack: sc, AttackRegion: 1, NWADE: true, KeyBits: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const advisory = `"AdvisoryReports":1`
+	old := strings.Replace(string(raw), advisory,
+		`"ExchangeEvery":1000000000,"LinkDelay":2000000000,"ReportTTL":2,`+advisory, 1)
+	if old == string(raw) {
+		t.Fatalf("spec %s has no %s field", raw, advisory)
+	}
+	got, _, err := DecodeNet(strings.NewReader(`{"Magic":"NWADE-SNAP","Version":2,"Spec":` + old + `,"Net":{}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := got.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("spec with the old fields loads to\n%+v\nwant\n%+v", cfg, want)
 	}
 }
 
